@@ -5,18 +5,16 @@ character of a rendered outcome string, matching the usual little-endian
 rendering of counts dictionaries.
 
 The op walk (`walk_ops`) is the single source of truth for which error
-opportunities touch which qubit.  The survival estimator, the analytic
-survival oracle and the Monte-Carlo executor all consume the same walk, so
-their per-qubit op paths agree by construction.
+opportunities touch which qubit.  A circuit is walked once, when it is built;
+the survival estimator, the analytic survival oracle and the Monte-Carlo
+executor all read that stored walk, so their per-qubit op paths agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
-
-import json
 
 from .device import Topology
 
@@ -205,7 +203,7 @@ class TranspiledCircuit:
     register before and after all routing SWAPs; ``measured`` lists logical
     qubits in fingerprint order.  The constructor replays the ops to confirm
     the final mapping and that each measured qubit is measured exactly once,
-    by the last op touching its register.
+    by the last op touching its register, and keeps that replay in ``steps``.
     """
 
     num_qubits: int
@@ -214,6 +212,7 @@ class TranspiledCircuit:
     final_mapping: dict[int, int]
     measured: tuple[int, ...]
     ideal_output: str
+    steps: tuple[WalkStep, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for q, p in self.initial_mapping.items():
@@ -223,13 +222,10 @@ class TranspiledCircuit:
             for r in op.registers:
                 if not (0 <= r < self.num_qubits):
                     raise CircuitError(f"register {r} out of range")
-        loc = dict(self.initial_mapping)
-        seen_measures: list[int] = []
-        for step in _walk(self.ops, self.initial_mapping):
-            loc = step.locations
-            if step.op.gate is Gate.MEASURE:
-                for ev in step.events:
-                    seen_measures.append(ev.logical)
+        steps = tuple(_walk(self.ops, self.initial_mapping))
+        loc = steps[-1].locations if steps else self.initial_mapping
+        seen_measures = [ev.logical for step in steps if step.op.gate is Gate.MEASURE
+                         for ev in step.events]
         if loc != self.final_mapping:
             raise CircuitError("final mapping does not match replayed SWAPs")
         if sorted(seen_measures) != sorted(self.measured):
@@ -238,19 +234,21 @@ class TranspiledCircuit:
             raise CircuitError("ideal_output length must equal number of measured qubits")
         if any(c not in "01" for c in self.ideal_output):
             raise CircuitError("ideal_output must be a bitstring")
+        object.__setattr__(self, "steps", steps)
 
     def ideal_bit(self, fingerprint_index: int) -> int:
         return int(bit_at(self.ideal_output, fingerprint_index))
 
 
 def walk_ops(circuit: TranspiledCircuit) -> Iterator[WalkStep]:
-    """Replay a transpiled circuit, yielding per-op flip events and locations.
+    """Per-op flip events and locations of a transpiled circuit.
 
-    A SWAP contributes three events (its constituent CNOTs) to each tracked
-    qubit it touches and then exchanges their locations; a MEASURE
-    contributes one event at the qubit's final register.
+    Reads the walk stored when the circuit was built.  A SWAP contributes
+    three events (its constituent CNOTs) to each tracked qubit it touches and
+    then exchanges their locations; a MEASURE contributes one event at the
+    qubit's final register.
     """
-    return _walk(circuit.ops, circuit.initial_mapping)
+    return iter(circuit.steps)
 
 
 def build_bv(secret: str) -> LogicalCircuit:
@@ -411,36 +409,3 @@ def compose_probe(subprobes: Sequence[tuple[str, Sequence[int]]],
         ideal_output=bits_to_string(ideal_bits),
     )
 
-
-# --- JSON interchange ---------------------------------------------------------
-
-def circuit_to_json(circuit: TranspiledCircuit) -> str:
-    doc = {
-        "num_qubits": circuit.num_qubits,
-        "ops": [{"gate": op.gate.value, "qubits": list(op.registers)} for op in circuit.ops],
-        "initial_mapping": {str(q): p for q, p in sorted(circuit.initial_mapping.items())},
-        "final_mapping": {str(q): p for q, p in sorted(circuit.final_mapping.items())},
-        "measured": list(circuit.measured),
-        "ideal_output": circuit.ideal_output,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def circuit_from_json(document: str) -> TranspiledCircuit:
-    raw = json.loads(document)
-    ops = []
-    for entry in raw["ops"]:
-        gate = Gate(entry["gate"])
-        regs = entry["qubits"]
-        if gate.n_registers == 1:
-            ops.append(_single_op(gate, regs[0]))
-        else:
-            ops.append(_pair_op(gate, regs[0], regs[1]))
-    return TranspiledCircuit(
-        num_qubits=raw["num_qubits"],
-        ops=tuple(ops),
-        initial_mapping={int(q): p for q, p in raw["initial_mapping"].items()},
-        final_mapping={int(q): p for q, p in raw["final_mapping"].items()},
-        measured=tuple(raw["measured"]),
-        ideal_output=raw["ideal_output"],
-    )

@@ -20,7 +20,7 @@ import click
 
 from .circuit import CircuitError, TranspiledCircuit, compose_probe
 from .cloud import AttackConfig, QuantumCloud, load_fleet
-from .detector import DEFAULT_THRESHOLD, detect, manhattan_avg, match_device
+from .detector import DEFAULT_THRESHOLD, check_threshold, detect, manhattan_avg, match_device
 from .device import ProfileError, load_profile, topology_compatible
 from .devicesim import TopologyError, survival_from_counts
 from .estimator import estimate_fingerprint, trace_survival
@@ -253,6 +253,8 @@ def run_detect_substitution(cloud: QuantumCloud, victim: str, actual: str,
                             probe: ProbeSpec, shots: int, rounds: int, seed: int,
                             threshold: float) -> tuple[ExperimentReport, int]:
     """Mount a substitution attack and test whether probing catches it."""
+    # checked up front: a topology error below yields a verdict without detect()
+    check_threshold(threshold)
     cloud.set_attack(AttackConfig.substitution(victim, actual))
     circuit, _ = probe.build(cloud)
     if not topology_compatible(circuit, cloud.get_profile(victim).topology):

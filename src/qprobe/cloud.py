@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .circuit import TranspiledCircuit
-from .device import DeviceProfile, fabricate, load_profile, topology_compatible
-from .devicesim import Counts, NoiseSpec, TopologyError, run_rounds
+from .device import DeviceProfile, fabricate, load_profile
+from .devicesim import Counts, NoiseSpec, run_rounds
 
 __all__ = [
     "CatalogEntry",
@@ -143,17 +143,14 @@ class QuantumCloud:
                rounds: int, seed: int) -> JobResult:
         """Run a probe, honouring whatever attack mode is active.
 
-        Raises TopologyError when the circuit does not fit the device that
-        would actually execute it.
+        Raises TopologyError (from ``run_rounds``) when the circuit does not
+        fit the device that would actually execute it.
         """
         entry = self._entry(device_id)
         target = entry
         attack = self._attack
         if attack.mode == "substitution" and attack.victim == device_id:
             target = self._entry(attack.actual)
-        if not topology_compatible(circuit, target.true_noise.true_profile.topology):
-            raise TopologyError(
-                f"circuit does not fit the topology of {target.device_id!r}")
         counts: Counts = run_rounds(circuit, target.true_noise, shots, rounds, seed)
         return JobResult(counts=counts, requested=device_id,
                          executed_on=target.device_id)
@@ -182,6 +179,19 @@ def _entry_from_config(profile: DeviceProfile, hidden_rate: float,
     )
 
 
+def _check_fleet_entry(item) -> None:
+    """Raise ValueError naming the first malformed field of a fleet entry."""
+    if not isinstance(item, dict):
+        raise ValueError("must be a JSON object")
+    if "profile_path" not in item:
+        raise ValueError("missing profile_path")
+    for name, kind, what in (("profile_path", str, "a string"),
+                             ("hidden_rate", (int, float), "a number"),
+                             ("fabrication", dict, "a JSON object")):
+        if name in item and not isinstance(item[name], kind):
+            raise ValueError(f"{name}: must be {what}")
+
+
 def load_fleet(config_path: str | Path, *, hidden_rate: float | None = None) -> QuantumCloud:
     """Build a cloud from a fleet config: a JSON list of device entries.
 
@@ -189,7 +199,8 @@ def load_fleet(config_path: str | Path, *, hidden_rate: float | None = None) -> 
     config file), optional ``fabrication`` ({"scale": f} or
     {"overrides": {label: rate}}) baked into the advertised profile, and
     optional ``hidden_rate``.  A ``hidden_rate`` argument overrides the
-    per-device values for the whole fleet.
+    per-device values for the whole fleet.  A malformed entry raises
+    ValueError with its field path, e.g. ``fleet entry 2: hidden_rate: ...``.
     """
     config_path = Path(config_path)
     raw = json.loads(config_path.read_text())
@@ -197,8 +208,10 @@ def load_fleet(config_path: str | Path, *, hidden_rate: float | None = None) -> 
         raise ValueError("fleet config must be a JSON list")
     cloud = QuantumCloud()
     for i, item in enumerate(raw):
-        if "profile_path" not in item:
-            raise ValueError(f"fleet entry {i}: missing profile_path")
+        try:
+            _check_fleet_entry(item)
+        except ValueError as exc:
+            raise ValueError(f"fleet entry {i}: {exc}") from None
         path = Path(item["profile_path"])
         if not path.is_absolute():
             path = config_path.parent / path

@@ -14,6 +14,7 @@ profile, which is the point of probing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -24,6 +25,7 @@ __all__ = [
     "DEFAULT_THRESHOLD",
     "Verdict",
     "manhattan_avg",
+    "check_threshold",
     "detect",
     "match_device",
     "static_match",
@@ -50,11 +52,16 @@ def manhattan_avg(a: Fingerprint, b: Fingerprint) -> float:
     return sum(abs(x - y) for x, y in zip(a.survivals, b.survivals)) / len(a)
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a decision threshold that is negative or not a finite number."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be a finite non-negative number, got {threshold}")
+
+
 def detect(expected: Fingerprint, observed: Fingerprint,
            threshold: float = DEFAULT_THRESHOLD) -> Verdict:
     """Classify a device: fraudulent iff distance strictly exceeds threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    check_threshold(threshold)
     distance = manhattan_avg(expected, observed)
     classification = "fraudulent" if distance > threshold else "honest"
     return Verdict(distance=distance, threshold=threshold, classification=classification)

@@ -38,7 +38,7 @@ class Topology:
     """Undirected coupling graph of a device.
 
     Edges are stored with endpoints in ascending order; self-loops and
-    duplicates are rejected.
+    duplicates are rejected.  Equality and hashing ignore the adjacency cache.
     """
 
     num_qubits: int
@@ -56,13 +56,17 @@ class Topology:
             normed.add(_norm_edge(a, b))
         object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "edges", frozenset(normed))
+        adjacency: dict[int, list[int]] = {}
+        for a, b in sorted(normed):  # edge order leaves each neighbour list sorted
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        object.__setattr__(self, "_adjacency", adjacency)
 
     def adjacent(self, a: int, b: int) -> bool:
         return _norm_edge(a, b) in self.edges
 
     def neighbors(self, q: int) -> list[int]:
-        out = [b if a == q else a for a, b in self.edges if q in (a, b)]
-        return sorted(out)
+        return list(self._adjacency.get(q, ()))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -218,19 +222,20 @@ def fabricate(profile: DeviceProfile, *, scale: float | None = None,
     single = dict(profile.single_qubit_error)
     meas = dict(profile.measurement_error)
     if scale is not None:
-        if not (0.0 < scale <= 1.0):
-            raise ProfileError(f"scale_factor {scale} outside (0, 1]")
+        if not isinstance(scale, (int, float)) or not (0.0 < scale <= 1.0):
+            raise ProfileError(f"scale_factor {scale!r} outside (0, 1]")
         cnot = {e: r * scale for e, r in cnot.items()}
         single = {q: r * scale for q, r in single.items()}
         meas = {q: r * scale for q, r in meas.items()}
     else:
-        assert overrides is not None
+        if not isinstance(overrides, Mapping):
+            raise ProfileError("overrides must map labels to rates")
         for label, rate in overrides.items():
             kind, where = _parse_override_label(label)
             table = {"cnot": cnot, "single": single, "meas": meas}[kind]
             if where not in table:
                 raise ProfileError(f"override {label!r} does not name a profile entry")
-            table[where] = float(rate)
+            table[where] = _as_rate(f"override {label!r}", rate)
     return DeviceProfile(
         device_id=profile.device_id,
         topology=profile.topology,
@@ -280,6 +285,11 @@ def load_profile(document: str) -> DeviceProfile:
 
     if not isinstance(raw["num_qubits"], int):
         raise ProfileError("num_qubits: must be an integer")
+    if not isinstance(raw["edges"], list):
+        raise ProfileError("edges: must be a list of two-int pairs")
+    for name in ("cnot_error", "single_qubit_error", "measurement_error"):
+        if not isinstance(raw[name], dict):
+            raise ProfileError(f"{name}: must be a JSON object")
     edges = []
     for i, pair in enumerate(raw["edges"]):
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):

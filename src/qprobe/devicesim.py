@@ -82,26 +82,33 @@ class Counts:
         return {k: v / self.shots for k, v in self.counts.items()}
 
 
-def _flip_schedule(circuit: TranspiledCircuit, noise: NoiseSpec, seed: int):
-    """Per-event stream keys, flip probabilities and target bit positions."""
-    profile = noise.true_profile
+def _schedule(circuit: TranspiledCircuit, noise: NoiseSpec):
+    """Sites, true flip probabilities and target bits of measured-qubit flip events.
+
+    A site is (op index, sub-op, register); with a seed it gives a stream key.
+    """
     bit_of = {q: i for i, q in enumerate(circuit.measured)}
-    keys: list[int] = []
-    probs: list[float] = []
-    bits: list[int] = []
+    sites, probs, bits = [], [], []
     for step in walk_ops(circuit):
         for ev in step.events:
-            if ev.logical not in bit_of:
-                continue
-            p = profile.rate_for(ev.error_key) + noise.hidden_rate
-            if p >= 1.0:
-                raise ValueError(f"effective flip probability {p} at op {ev.op_index} not < 1")
-            keys.append(stream_key(seed, ev.op_index, ev.sub, ev.register))
-            probs.append(p)
-            bits.append(bit_of[ev.logical])
-    return (np.array(keys, dtype=np.uint64),
-            np.array(probs, dtype=np.float64),
-            np.array(bits, dtype=np.int64))
+            if ev.logical in bit_of:
+                p = noise.true_profile.rate_for(ev.error_key) + noise.hidden_rate
+                if p >= 1.0:
+                    raise ValueError(f"effective flip probability {p} at op {ev.op_index} not < 1")
+                sites.append((ev.op_index, ev.sub, ev.register))
+                probs.append(p)
+                bits.append(bit_of[ev.logical])
+    return sites, np.array(probs, dtype=np.float64), np.array(bits, dtype=np.int64)
+
+
+def _stream_keys(sites, seed: int) -> np.ndarray:
+    return np.array([stream_key(seed, *site) for site in sites], dtype=np.uint64)
+
+
+def _flip_schedule(circuit: TranspiledCircuit, noise: NoiseSpec, seed: int):
+    """Per-event stream keys, flip probabilities and target bit positions."""
+    sites, probs, bits = _schedule(circuit, noise)
+    return _stream_keys(sites, seed), probs, bits
 
 
 def _check(circuit: TranspiledCircuit, noise: NoiseSpec) -> None:
@@ -114,31 +121,29 @@ def _check(circuit: TranspiledCircuit, noise: NoiseSpec) -> None:
 
 def execute(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int, seed: int) -> Counts:
     """Sample measurement outcomes for a probe on a noisy device."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    _check(circuit, noise)
-    keys, probs, bits = _flip_schedule(circuit, noise, seed)
-    ideal = 0
-    for i in range(len(circuit.measured)):
-        ideal |= circuit.ideal_bit(i) << i
-    packed = get_sampler()(ideal, keys, probs, bits, shots)
-    width = len(circuit.measured)
-    values, freqs = np.unique(packed, return_counts=True)
-    counts = {format(int(v), f"0{width}b") if width else "": int(n)
-              for v, n in zip(values, freqs)}
-    return Counts(counts=counts, shots=shots)
+    return run_rounds(circuit, noise, shots, rounds=1, seed=seed)
 
 
 def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
                rounds: int, seed: int) -> Counts:
-    """Pool several executions with per-round derived seeds (round r uses seed+r)."""
+    """Pool several executions with per-round derived seeds (round r uses seed+r).
+
+    The circuit is checked and scheduled once; each round derives only its keys.
+    """
     if rounds < 1:
         raise ValueError("rounds must be positive")
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    _check(circuit, noise)
+    sites, probs, bits = _schedule(circuit, noise)
+    width = len(circuit.measured)
+    ideal = sum(circuit.ideal_bit(i) << i for i in range(width))
     pooled: dict[str, int] = {}
     for r in range(rounds):
-        part = execute(circuit, noise, shots, seed + r)
-        for outcome, n in part.counts.items():
-            pooled[outcome] = pooled.get(outcome, 0) + n
+        packed = get_sampler()(ideal, _stream_keys(sites, seed + r), probs, bits, shots)
+        for v, n in zip(*np.unique(packed, return_counts=True)):
+            outcome = format(int(v), f"0{width}b") if width else ""
+            pooled[outcome] = pooled.get(outcome, 0) + int(n)
     return Counts(counts=pooled, shots=shots * rounds)
 
 
@@ -150,16 +155,11 @@ def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:
     qubit's opportunities.
     """
     _check(circuit, noise)
-    profile = noise.true_profile
-    parity = {q: 1.0 for q in circuit.measured}
-    for step in walk_ops(circuit):
-        for ev in step.events:
-            if ev.logical in parity:
-                p = profile.rate_for(ev.error_key) + noise.hidden_rate
-                if p >= 1.0:
-                    raise ValueError(f"effective flip probability {p} not < 1")
-                parity[ev.logical] *= 1.0 - 2.0 * p
-    return Fingerprint(tuple((1.0 + parity[q]) / 2.0 for q in circuit.measured))
+    _, probs, bits = _schedule(circuit, noise)
+    parity = [1.0] * len(circuit.measured)
+    for p, bit in zip(probs.tolist(), bits.tolist()):
+        parity[bit] *= 1.0 - 2.0 * p
+    return Fingerprint(tuple((1.0 + x) / 2.0 for x in parity))
 
 
 def survival_from_counts(counts: Counts, ideal_output: str) -> Fingerprint:

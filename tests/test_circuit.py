@@ -1,4 +1,4 @@
-"""Probe construction, routing and circuit serialization.
+"""Probe construction, routing and the stored op walk.
 
 Routing correctness is checked against the dense statevector simulator in
 qsim.py: whatever SWAPs the transpiler inserts, the measured marginal of the
@@ -23,8 +23,6 @@ from qprobe.circuit import (
     bit_at,
     bits_to_string,
     build_bv,
-    circuit_from_json,
-    circuit_to_json,
     compose_probe,
     transpile,
     walk_ops,
@@ -219,11 +217,3 @@ def test_compose_probe_single_part_matches_plain_transpile():
     composed = compose_probe([("101", (0, 1, 2, 3))], line(6))
     assert composed == plain
 
-
-def test_circuit_json_round_trip():
-    circ = compose_probe([("11", (0, 1, 2)), ("1", (4, 5))], line(6))
-    again = circuit_from_json(circuit_to_json(circ))
-    assert again == circ
-    # the walk (and therefore every consumer) sees identical events
-    events = lambda c: [s.events for s in walk_ops(c)]  # noqa: E731
-    assert events(again) == events(circ)

@@ -171,6 +171,44 @@ def test_configuration_mistakes_exit_one(corner_fleet, argv_tail, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["detect-sub", "--victim", "alpine", "--actual", "dune"],
+    ["detect-fab", "--device", "alpine", "--fab", "scale:0.5"],
+])
+@pytest.mark.parametrize("threshold", ["nan", "inf"])
+def test_non_finite_threshold_exits_one(corner_fleet, command, threshold, capsys):
+    code = main([*command, "--fleet", str(corner_fleet), *CORNER_PROBE,
+                 "--threshold", threshold])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "threshold must be a finite" in captured.err
+    assert "fraudulent" not in captured.out and "honest" not in captured.out
+
+
+@pytest.mark.parametrize("entries, profile_update, message", [
+    ([1], {}, "fleet entry 0: must be a JSON object"),
+    ([{"profile_path": "alpine.json", "hidden_rate": "x"}], {},
+     "fleet entry 0: hidden_rate: must be a number"),
+    ([{"profile_path": "alpine.json", "fabrication": 3}], {},
+     "fleet entry 0: fabrication: must be a JSON object"),
+    ([{"profile_path": "alpine.json", "fabrication": {"scale": "x"}}], {},
+     "scale_factor 'x' outside"),
+    ([{"profile_path": "alpine.json", "fabrication": {"overrides": [1]}}], {},
+     "overrides must map labels to rates"),
+    ([{"profile_path": "alpine.json"}], {"edges": 5}, "edges: must be a list"),
+])
+def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, message, capsys):
+    doc = json.loads(dump_profile(fleetgen.corner_profiles()[0]))
+    doc.update(profile_update)
+    (tmp_path / "alpine.json").write_text(json.dumps(doc))
+    fleet = tmp_path / "fleet.json"
+    fleet.write_text(json.dumps(entries))
+    # an unmapped exception would escape main() and fail the test with its traceback
+    code = main(["identify", "--fleet", str(fleet), *CORNER_PROBE])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_unknown_device_exits_one(corner_fleet, capsys):
     code = main(["detect-sub", "--fleet", str(corner_fleet), *CORNER_PROBE,
                  "--victim", "alpine", "--actual", "mirage"])

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 import fleetgen
+import qprobe.circuit
+import qprobe.devicesim
 from qprobe import (
     AttackConfig,
     CatalogEntry,
@@ -14,11 +17,12 @@ from qprobe import (
     QuantumCloud,
     Topology,
     TopologyError,
+    estimate_fingerprint,
     fabricate,
     load_fleet,
     run_rounds,
 )
-from qprobe.circuit import build_bv, transpile
+from qprobe.circuit import TranspiledCircuit, build_bv, compose_probe, transpile
 from qprobe.device import DeviceProfile
 
 
@@ -120,6 +124,29 @@ def test_substitution_onto_an_incompatible_machine_fails_loudly():
     cloud.set_attack(AttackConfig.substitution("alpine", "tiny"))
     with pytest.raises(TopologyError, match="tiny"):
         cloud.submit("alpine", probe(), shots=10, rounds=1, seed=0)
+
+
+def test_a_job_walks_its_probe_once_and_checks_topology_once(monkeypatch):
+    calls: Counter = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(TranspiledCircuit, "__post_init__")
+    count(qprobe.circuit, "_walk")
+    count(qprobe.devicesim, "topology_compatible")
+    cloud = corner_cloud()
+    circuit = compose_probe([("11", (0, 1, 3))], fleetgen.t5())
+    estimate_fingerprint(circuit, cloud.get_profile("alpine"))
+    cloud.submit("alpine", circuit, shots=100, rounds=3, seed=0)
+    assert calls["__post_init__"] == 2  # the transpiled part and the composition
+    assert calls["_walk"] == calls["__post_init__"]
+    assert calls["topology_compatible"] == 1
 
 
 def test_fabrication_doctors_only_the_advertised_profile():

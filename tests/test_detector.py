@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,13 @@ def test_detect_default_threshold_and_validation():
     assert verdict.threshold == DEFAULT_THRESHOLD == 0.035
     with pytest.raises(ValueError, match="non-negative"):
         detect(Fingerprint((0.9,)), Fingerprint((0.9,)), threshold=-0.1)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_detect_rejects_non_finite_thresholds(threshold):
+    # a NaN threshold would make every distance look honest
+    with pytest.raises(ValueError, match="finite"):
+        detect(Fingerprint((0.9,)), Fingerprint((0.1,)), threshold=threshold)
 
 
 def test_match_device_picks_the_closest_candidate():

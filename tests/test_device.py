@@ -205,6 +205,8 @@ def test_profile_round_trip_random_rates(rates):
     (lambda d: d["cnot_error"].update({"0-1": True}), "rate must be a number"),
     (lambda d: d["single_qubit_error"].update({"one": 0.1}), "single_qubit_error.one"),
     (lambda d: d.update(calibration_time=7), "calibration_time"),
+    (lambda d: d.update(edges=5), "edges: must be a list"),
+    (lambda d: d.update(measurement_error=[0.1]), "measurement_error: must be a JSON object"),
 ])
 def test_load_profile_reports_field_paths(mutate, message):
     import json
