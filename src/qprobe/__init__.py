@@ -34,6 +34,7 @@ from .device import (
     ErrorVector,
     ProfileError,
     Topology,
+    TopologyError,
     dump_profile,
     error_vector,
     fabricate,
@@ -43,7 +44,6 @@ from .device import (
 from .devicesim import (
     Counts,
     NoiseSpec,
-    TopologyError,
     counts_from_json,
     counts_to_json,
     exact_survival,

@@ -61,33 +61,36 @@ def sample_packed_numpy(ideal: int, keys: np.ndarray, probs: np.ndarray,
     return out
 
 
-def _compiled_sampler():
+def _bind_sampler():
+    """The kernel this process uses: (name, sampler), chosen once at import.
+
+    Setting ``QPROBE_KERNEL=numpy`` forces the reference even when the
+    compiled extension is built.
+    """
+    if os.environ.get("QPROBE_KERNEL", "").lower() == "numpy":
+        return "numpy", sample_packed_numpy
     try:
         from . import _flipcore_c
     except ImportError:
-        return None
-    return _flipcore_c
+        return "numpy", sample_packed_numpy
+
+    def sample_packed_compiled(ideal: int, keys: np.ndarray, probs: np.ndarray,
+                               bits: np.ndarray, shots: int) -> np.ndarray:
+        out = np.empty(shots, dtype=np.uint64)
+        _flipcore_c.sample_packed(ideal, keys, probs, bits.astype(np.int64), shots, out)
+        return out
+
+    return "compiled", sample_packed_compiled
 
 
-def _sample_packed_compiled(ideal: int, keys: np.ndarray, probs: np.ndarray,
-                            bits: np.ndarray, shots: int) -> np.ndarray:
-    out = np.empty(shots, dtype=np.uint64)
-    _COMPILED.sample_packed(ideal, keys, probs, bits.astype(np.int64), shots, out)
-    return out
-
-
-_COMPILED = _compiled_sampler()
-_FORCED = os.environ.get("QPROBE_KERNEL", "").lower()
+_KERNEL, _SAMPLER = _bind_sampler()
 
 
 def active_kernel() -> str:
     """Name of the sampler the package selected at import: compiled or numpy."""
-    if _FORCED == "numpy" or _COMPILED is None:
-        return "numpy"
-    return "compiled"
+    return _KERNEL
 
 
 def get_sampler():
-    if active_kernel() == "compiled":
-        return _sample_packed_compiled
-    return sample_packed_numpy
+    """The sampler selected at import; same signature as sample_packed_numpy."""
+    return _SAMPLER

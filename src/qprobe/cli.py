@@ -21,9 +21,9 @@ import click
 from .circuit import CircuitError, TranspiledCircuit, compose_probe
 from .cloud import AttackConfig, QuantumCloud, load_fleet
 from .detector import DEFAULT_THRESHOLD, check_threshold, detect, manhattan_avg, match_device
-from .device import ProfileError, load_profile, topology_compatible
-from .devicesim import TopologyError, survival_from_counts
-from .estimator import estimate_fingerprint, trace_survival
+from .device import TopologyError, load_profile
+from .devicesim import survival_from_counts
+from .estimator import Fingerprint, estimate_fingerprint, trace_survival
 
 __all__ = [
     "ProbeSpec",
@@ -205,13 +205,23 @@ def _emit(report: ExperimentReport, out: str | None, fmt: str) -> None:
 # --- experiment drivers -------------------------------------------------------
 
 
+def _fitting_estimates(cloud: QuantumCloud, circuit: TranspiledCircuit) -> dict[str, Fingerprint]:
+    """Expected fingerprint of every catalog device the circuit fits, in id order."""
+    expected = {}
+    for device_id in cloud.device_ids():
+        try:
+            expected[device_id] = estimate_fingerprint(circuit, cloud.get_profile(device_id))
+        except TopologyError:
+            continue
+    return expected
+
+
 def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
                  seed: int) -> tuple[ExperimentReport, int]:
     """Blind identification: probe every device, match against every candidate."""
     circuit, reference = probe.build(cloud)
-    candidates = [d for d in cloud.device_ids()
-                  if topology_compatible(circuit, cloud.get_profile(d).topology)]
-    expected = {d: estimate_fingerprint(circuit, cloud.get_profile(d)) for d in candidates}
+    expected = _fitting_estimates(cloud, circuit)
+    candidates = list(expected)
 
     trials = []
     correct = 0
@@ -257,9 +267,10 @@ def run_detect_substitution(cloud: QuantumCloud, victim: str, actual: str,
     check_threshold(threshold)
     cloud.set_attack(AttackConfig.substitution(victim, actual))
     circuit, _ = probe.build(cloud)
-    if not topology_compatible(circuit, cloud.get_profile(victim).topology):
-        raise CommandError(f"probe does not fit victim device {victim!r}")
-    expected = estimate_fingerprint(circuit, cloud.get_profile(victim))
+    try:
+        expected = estimate_fingerprint(circuit, cloud.get_profile(victim))
+    except TopologyError:
+        raise CommandError(f"probe does not fit victim device {victim!r}") from None
     trial: dict = {"probe": probe.label, "victim": victim, "actual": actual,
                    "seed": seed, "threshold": threshold}
     try:
@@ -297,10 +308,12 @@ def run_detect_fabrication(cloud: QuantumCloud, device_id: str, strategy: dict,
     n_fraud = 0
     for i, probe in enumerate(probes):
         circuit, _ = probe.build(cloud)
-        if not topology_compatible(circuit, cloud.get_profile(device_id).topology):
-            raise CommandError(f"probe {probe.label!r} does not fit device {device_id!r}")
+        try:
+            expected = estimate_fingerprint(circuit, cloud.get_profile(device_id))
+        except TopologyError:
+            raise CommandError(
+                f"probe {probe.label!r} does not fit device {device_id!r}") from None
         combo_seed = seed + i * rounds
-        expected = estimate_fingerprint(circuit, cloud.get_profile(device_id))
         job = cloud.submit(device_id, circuit, shots, rounds, combo_seed)
         observed = survival_from_counts(job.counts, circuit.ideal_output)
         verdict = detect(expected, observed, threshold)
@@ -331,16 +344,13 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
     job_index = 0
     for probe in probes:
         circuit, _ = probe.build(cloud)
-        compatible = [d for d in cloud.device_ids()
-                      if topology_compatible(circuit, cloud.get_profile(d).topology)]
-        expected = {d: estimate_fingerprint(circuit, cloud.get_profile(d))
-                    for d in compatible}
-        for device_id in compatible:
+        expected = _fitting_estimates(cloud, circuit)
+        for device_id in expected:
             job_seed = seed + job_index * rounds
             job_index += 1
             job = cloud.submit(device_id, circuit, shots, rounds, job_seed)
             observed = survival_from_counts(job.counts, circuit.ideal_output)
-            for candidate in compatible:
+            for candidate in expected:
                 trials.append({
                     "probe": probe.label, "size": probe.size, "device": device_id,
                     "candidate": candidate, "seed": job_seed,
@@ -510,8 +520,9 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except (CommandError, ProfileError, CircuitError, TopologyError,
-            KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # every input error the package raises (CommandError, ProfileError,
+    # CircuitError, TopologyError, JSON decoding) is a ValueError
+    except (KeyError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

@@ -188,7 +188,7 @@ def _check_fleet_entry(item) -> None:
     for name, kind, what in (("profile_path", str, "a string"),
                              ("hidden_rate", (int, float), "a number"),
                              ("fabrication", dict, "a JSON object")):
-        if name in item and not isinstance(item[name], kind):
+        if name in item and (not isinstance(item[name], kind) or isinstance(item[name], bool)):
             raise ValueError(f"{name}: must be {what}")
 
 
@@ -200,10 +200,19 @@ def load_fleet(config_path: str | Path, *, hidden_rate: float | None = None) -> 
     {"overrides": {label: rate}}) baked into the advertised profile, and
     optional ``hidden_rate``.  A ``hidden_rate`` argument overrides the
     per-device values for the whole fleet.  A malformed entry raises
-    ValueError with its field path, e.g. ``fleet entry 2: hidden_rate: ...``.
+    ValueError with its field path, e.g. ``fleet entry 2: hidden_rate: ...``;
+    an entry whose profile, forgery or rate is bad also names its file, e.g.
+    ``fleet entry 1 (bad.json): edges: ...``.  An unreadable profile file
+    raises OSError.
     """
+    # checked before the entries, so that a bad argument is not blamed on one of them
+    if hidden_rate is not None and not (0.0 <= hidden_rate < 1.0):
+        raise ValueError(f"hidden_rate {hidden_rate} outside [0, 1)")
     config_path = Path(config_path)
-    raw = json.loads(config_path.read_text())
+    try:
+        raw = json.loads(config_path.read_text())
+    except RecursionError:
+        raise ValueError("fleet config nests too deeply") from None
     if not isinstance(raw, list):
         raise ValueError("fleet config must be a JSON list")
     cloud = QuantumCloud()
@@ -215,7 +224,10 @@ def load_fleet(config_path: str | Path, *, hidden_rate: float | None = None) -> 
         path = Path(item["profile_path"])
         if not path.is_absolute():
             path = config_path.parent / path
-        profile = load_profile(path.read_text())
         rate = hidden_rate if hidden_rate is not None else item.get("hidden_rate", 0.0)
-        cloud.register(_entry_from_config(profile, rate, item.get("fabrication")))
+        try:
+            profile = load_profile(path.read_text())
+            cloud.register(_entry_from_config(profile, rate, item.get("fabrication")))
+        except ValueError as exc:
+            raise ValueError(f"fleet entry {i} ({item['profile_path']}): {exc}") from None
     return cloud

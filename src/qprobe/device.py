@@ -17,6 +17,7 @@ __all__ = [
     "DeviceProfile",
     "ErrorVector",
     "ProfileError",
+    "TopologyError",
     "load_profile",
     "dump_profile",
     "error_vector",
@@ -27,6 +28,10 @@ __all__ = [
 
 class ProfileError(ValueError):
     """A profile document or profile field failed validation."""
+
+
+class TopologyError(ValueError):
+    """A circuit does not fit a device topology (see ``topology_compatible``)."""
 
 
 def _norm_edge(a: int, b: int) -> tuple[int, int]:
@@ -197,14 +202,16 @@ def error_vector(profile: DeviceProfile, region: Iterable[int] | None = None) ->
 
 
 def _parse_override_label(label: str) -> tuple:
-    if label.startswith("CNOT_(") and label.endswith(")"):
-        body = label[len("CNOT_("):-1]
-        a, _, b = body.partition(",")
-        return ("cnot", _norm_edge(int(a), int(b)))
-    if label.startswith("Meas_"):
-        return ("meas", int(label[len("Meas_"):]))
-    if label.startswith("SQ_"):
-        return ("single", int(label[len("SQ_"):]))
+    try:
+        if label.startswith("CNOT_(") and label.endswith(")"):
+            a, _, b = label[len("CNOT_("):-1].partition(",")
+            return ("cnot", _norm_edge(int(a), int(b)))
+        if label.startswith("Meas_"):
+            return ("meas", int(label[len("Meas_"):]))
+        if label.startswith("SQ_"):
+            return ("single", int(label[len("SQ_"):]))
+    except ValueError:
+        pass
     raise ProfileError(f"override label {label!r} is not CNOT_(a,b), Meas_q or SQ_q")
 
 
@@ -222,7 +229,7 @@ def fabricate(profile: DeviceProfile, *, scale: float | None = None,
     single = dict(profile.single_qubit_error)
     meas = dict(profile.measurement_error)
     if scale is not None:
-        if not isinstance(scale, (int, float)) or not (0.0 < scale <= 1.0):
+        if not _is_real(scale) or not (0.0 < scale <= 1.0):
             raise ProfileError(f"scale_factor {scale!r} outside (0, 1]")
         cnot = {e: r * scale for e, r in cnot.items()}
         single = {q: r * scale for q, r in single.items()}
@@ -275,7 +282,7 @@ def load_profile(document: str) -> DeviceProfile:
     """
     try:
         raw = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProfileError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ProfileError("profile document must be a JSON object")
@@ -283,7 +290,7 @@ def load_profile(document: str) -> DeviceProfile:
         if name not in raw:
             raise ProfileError(f"{name}: missing field")
 
-    if not isinstance(raw["num_qubits"], int):
+    if not _is_int(raw["num_qubits"]):
         raise ProfileError("num_qubits: must be an integer")
     if not isinstance(raw["edges"], list):
         raise ProfileError("edges: must be a list of two-int pairs")
@@ -292,7 +299,7 @@ def load_profile(document: str) -> DeviceProfile:
             raise ProfileError(f"{name}: must be a JSON object")
     edges = []
     for i, pair in enumerate(raw["edges"]):
-        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair)):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))):
             raise ProfileError(f"edges[{i}]: must be a two-int pair")
         edges.append((pair[0], pair[1]))
     topology = Topology(raw["num_qubits"], edges)
@@ -323,10 +330,21 @@ def load_profile(document: str) -> DeviceProfile:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_rate(path: str, value) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_real(value):
         raise ProfileError(f"{path}: rate must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ProfileError(f"{path}: rate outside [0, 1)") from None
 
 
 def _qubit_rates(field_name: str, raw: Mapping[str, object]) -> dict[int, float]:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._flipcore import get_sampler, stream_key
 from .circuit import TranspiledCircuit, bit_at, walk_ops
-from .device import DeviceProfile, topology_compatible
+from .device import DeviceProfile, TopologyError, topology_compatible
 from .estimator import Fingerprint
 
 __all__ = [
@@ -38,10 +38,6 @@ __all__ = [
 ]
 
 _MAX_MEASURED = 64  # packed-word sampler limit; probes stay far below this
-
-
-class TopologyError(Exception):
-    """The platform rejected a circuit that does not fit the device topology."""
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,6 @@ def _schedule(circuit: TranspiledCircuit, noise: NoiseSpec):
 
 def _stream_keys(sites, seed: int) -> np.ndarray:
     return np.array([stream_key(seed, *site) for site in sites], dtype=np.uint64)
-
-
-def _flip_schedule(circuit: TranspiledCircuit, noise: NoiseSpec, seed: int):
-    """Per-event stream keys, flip probabilities and target bit positions."""
-    sites, probs, bits = _schedule(circuit, noise)
-    return _stream_keys(sites, seed), probs, bits
 
 
 def _check(circuit: TranspiledCircuit, noise: NoiseSpec) -> None:

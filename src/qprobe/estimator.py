@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import TranspiledCircuit, walk_ops
-from .device import DeviceProfile, topology_compatible
+from .device import DeviceProfile, TopologyError, topology_compatible
 
 __all__ = ["QubitTrack", "Fingerprint", "estimate_fingerprint", "trace_survival"]
 
@@ -48,11 +48,14 @@ class Fingerprint:
 
 def _check_profile(circuit: TranspiledCircuit, profile: DeviceProfile) -> None:
     if not topology_compatible(circuit, profile.topology):
-        raise ValueError(f"circuit does not fit the topology of {profile.device_id!r}")
+        raise TopologyError(f"circuit does not fit the topology of {profile.device_id!r}")
 
 
 def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> Fingerprint:
-    """Predicted survival per measured qubit under a published profile."""
+    """Predicted survival per measured qubit under a published profile.
+
+    Raises TopologyError when the circuit does not fit the profile's topology.
+    """
     _check_profile(circuit, profile)
     survival = {q: 1.0 for q in circuit.initial_mapping}
     for step in walk_ops(circuit):

@@ -7,12 +7,14 @@ identification miss) shows up, 1 for configuration mistakes.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import fleetgen
-from qprobe import dump_profile, estimate_fingerprint, load_fleet
+import qprobe.device
+from qprobe import DeviceProfile, Topology, dump_profile, estimate_fingerprint, load_fleet
 from qprobe.circuit import compose_probe
 from qprobe.cli import CommandError, ProbeSpec, main, parse_probe_args, parse_strategy
 
@@ -196,17 +198,78 @@ def test_non_finite_threshold_exits_one(corner_fleet, command, threshold, capsys
     ([{"profile_path": "alpine.json", "fabrication": {"overrides": [1]}}], {},
      "overrides must map labels to rates"),
     ([{"profile_path": "alpine.json"}], {"edges": 5}, "edges: must be a list"),
+    ([{"profile_path": "boreal.json"}, {"profile_path": "alpine.json"}], {"edges": 5},
+     "fleet entry 1 (alpine.json): edges: must be a list of two-int pairs"),
+    ([{"profile_path": "alpine.json"}, {"profile_path": "alpine.json"}], {},
+     "fleet entry 1 (alpine.json): device 'alpine' already registered"),
+    ([{"profile_path": "alpine.json", "hidden_rate": False}], {},
+     "fleet entry 0: hidden_rate: must be a number"),
+    ([{"profile_path": "alpine.json", "hidden_rate": True}], {},
+     "fleet entry 0: hidden_rate: must be a number"),
+    ([{"profile_path": "alpine.json", "hidden_rate": 1.5}], {},
+     "fleet entry 0 (alpine.json): hidden_rate 1.5 outside [0, 1)"),
+    ([{"profile_path": "alpine.json", "fabrication": {"scale": True}}], {},
+     "fleet entry 0 (alpine.json): scale_factor True outside (0, 1]"),
+    ([{"profile_path": "alpine.json", "fabrication": {"overrides": {"Meas_": 0.1}}}], {},
+     "fleet entry 0 (alpine.json): override label 'Meas_' is not CNOT_(a,b)"),
 ])
 def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, message, capsys):
     doc = json.loads(dump_profile(fleetgen.corner_profiles()[0]))
     doc.update(profile_update)
     (tmp_path / "alpine.json").write_text(json.dumps(doc))
+    (tmp_path / "boreal.json").write_text(dump_profile(fleetgen.corner_profiles()[1]))
     fleet = tmp_path / "fleet.json"
     fleet.write_text(json.dumps(entries))
     # an unmapped exception would escape main() and fail the test with its traceback
     code = main(["identify", "--fleet", str(fleet), *CORNER_PROBE])
     assert code == 1
+    # errors from an entry's profile file or its forgery name the entry and the file
+    if not message.startswith("fleet entry"):
+        message = f"fleet entry 0 (alpine.json): {message}"
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [
+    (["detect-sub", "--victim", "tiny", "--actual", "alpine"],
+     "probe does not fit victim device 'tiny'"),
+    (["detect-fab", "--device", "tiny", "--fab", "scale:0.5"],
+     "probe 'bv:11@0,1,3' does not fit device 'tiny'"),
+])
+def test_probe_that_does_not_fit_the_attacked_device_exits_one(tmp_path, command, message,
+                                                               capsys):
+    tiny = DeviceProfile(
+        device_id="tiny",
+        topology=Topology(2, [(0, 1)]),
+        cnot_error={(0, 1): 0.01},
+        single_qubit_error={0: 0.0, 1: 0.0},
+        measurement_error={0: 0.01, 1: 0.01},
+        calibration_time=fleetgen.CAL_TIME,
+    )
+    # the probe is built on alpine, the first device it fits
+    fleet = fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(), tiny])
+    code = main([*command, "--fleet", str(fleet), *CORNER_PROBE])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+
+
+def test_identify_checks_topology_once_per_side(corner_fleet, monkeypatch, capsys):
+    original = qprobe.device.topology_compatible
+    calls = []
+
+    def counted(circuit, topology):
+        calls.append(topology)
+        return original(circuit, topology)
+
+    # rebind the name in every package module that imported it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qprobe.") and getattr(module, "topology_compatible", None) is original:
+            monkeypatch.setattr(module, "topology_compatible", counted)
+    assert main(["identify", "--fleet", str(corner_fleet), *CORNER_PROBE]) == 0
+    capsys.readouterr()
+    # per device: the estimate on the user side and the run on the platform side
+    assert len(calls) == 2 * 4
 
 
 def test_unknown_device_exits_one(corner_fleet, capsys):

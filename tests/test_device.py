@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +161,11 @@ def test_fabricate_argument_validation():
         fabricate(prof, overrides={"Flux_0": 0.1})
     with pytest.raises(ProfileError, match="does not name"):
         fabricate(prof, overrides={"CNOT_(0,2)": 0.1})
+    for label in ("CNOT_(x,1)", "CNOT_(1)", "Meas_", "SQ_q"):
+        with pytest.raises(ProfileError, match=f"label '{re.escape(label)}' is not CNOT"):
+            fabricate(prof, overrides={label: 0.1})
+    with pytest.raises(ProfileError, match="scale_factor"):
+        fabricate(prof, scale=True)
 
 
 def test_topology_compatible_is_total():

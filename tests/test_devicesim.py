@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import fleetgen
+import qprobe
 from qprobe import (
     Counts,
     DeviceProfile,
@@ -30,9 +31,9 @@ from qprobe import (
     run_rounds,
     survival_from_counts,
 )
-from qprobe._flipcore import active_kernel, mix64, sample_packed_numpy, stream_key
+from qprobe._flipcore import active_kernel, get_sampler, mix64, sample_packed_numpy, stream_key
 from qprobe.circuit import Gate, TranspiledCircuit, TranspiledOp, build_bv, transpile
-from qprobe.devicesim import _flip_schedule
+from qprobe.devicesim import _schedule, _stream_keys
 
 
 def single_qubit_circuit() -> TranspiledCircuit:
@@ -147,22 +148,21 @@ def test_run_rounds_pools_single_executions():
 def test_compiled_and_numpy_kernels_agree():
     if active_kernel() != "compiled":
         pytest.skip("compiled kernel not built")
-    from qprobe import _flipcore
-
     rng = np.random.default_rng(13)
     circ, noise = fleetgen.random_fixture(rng)
-    keys, probs, bits = _flip_schedule(circ, noise, seed=31)
+    sites, probs, bits = _schedule(circ, noise)
     ideal = sum(circ.ideal_bit(i) << i for i in range(len(circ.measured)))
-    shots = 20000
-    reference = sample_packed_numpy(ideal, keys, probs, bits, shots)
-    compiled = np.empty(shots, dtype=np.uint64)
-    _flipcore._COMPILED.sample_packed(ideal, keys, probs, bits.astype(np.int64),
-                                      shots, compiled)
-    assert np.array_equal(reference, compiled)
+    args = (ideal, _stream_keys(sites, 31), probs, bits, 20000)
+    compiled = get_sampler()(*args)
+    assert compiled.dtype == np.uint64
+    assert np.array_equal(sample_packed_numpy(*args), compiled)
 
 
 def test_kernel_env_override_forces_numpy():
-    env = dict(os.environ, QPROBE_KERNEL="numpy")
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(qprobe.__file__))
+    env = dict(os.environ, QPROBE_KERNEL="numpy",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run(
         [sys.executable, "-c", "from qprobe._flipcore import active_kernel; print(active_kernel())"],
         capture_output=True, text=True, env=env, check=True)
