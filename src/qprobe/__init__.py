@@ -44,8 +44,6 @@ from .device import (
 from .devicesim import (
     Counts,
     NoiseSpec,
-    counts_from_json,
-    counts_to_json,
     exact_survival,
     execute,
     run_rounds,
@@ -81,8 +79,6 @@ __all__ = [
     "active_kernel",
     "build_bv",
     "compose_probe",
-    "counts_from_json",
-    "counts_to_json",
     "detect",
     "dump_profile",
     "error_vector",

@@ -13,11 +13,9 @@ scale) produces identical outcomes to the numpy path here.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["mix64", "stream_key", "sample_packed_numpy", "active_kernel", "get_sampler"]
+__all__ = ["stream_keys", "sample_packed_numpy", "active_kernel", "get_sampler"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -26,27 +24,25 @@ _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0 ** -53
 
 
-def mix64(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def stream_key(seed: int, op_index: int, sub: int, register: int) -> int:
-    """Stream key of one flip opportunity; the per-shot counter salts it later."""
-    h = mix64((seed & _MASK) ^ _GAMMA)
-    h = mix64(h ^ (((op_index * 4 + sub + 1) * _GAMMA) & _MASK))
-    h = mix64(h ^ (((register + 1) * _GAMMA) & _MASK))
-    return h
-
-
 def _mix64_np(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX1)
     z = z ^ (z >> np.uint64(27))
     z = z * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def stream_keys(seed: int, sites) -> np.ndarray:
+    """Stream key of each flip opportunity; the per-shot counter salts it later.
+
+    ``sites`` is an (n, 3) integer array of (op index, sub-op, register).
+    uint64 arithmetic wraps like the masked integer steps it stands for.
+    """
+    sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3).astype(np.uint64)
+    gamma = np.uint64(_GAMMA)
+    h = _mix64_np(np.full(len(sites), (seed & _MASK) ^ _GAMMA, dtype=np.uint64))
+    h = _mix64_np(h ^ ((sites[:, 0] * np.uint64(4) + sites[:, 1] + np.uint64(1)) * gamma))
+    return _mix64_np(h ^ ((sites[:, 2] + np.uint64(1)) * gamma))
 
 
 def sample_packed_numpy(ideal: int, keys: np.ndarray, probs: np.ndarray,
@@ -64,11 +60,8 @@ def sample_packed_numpy(ideal: int, keys: np.ndarray, probs: np.ndarray,
 def _bind_sampler():
     """The kernel this process uses: (name, sampler), chosen once at import.
 
-    Setting ``QPROBE_KERNEL=numpy`` forces the reference even when the
-    compiled extension is built.
+    The compiled extension when it is built, the numpy reference otherwise.
     """
-    if os.environ.get("QPROBE_KERNEL", "").lower() == "numpy":
-        return "numpy", sample_packed_numpy
     try:
         from . import _flipcore_c
     except ImportError:

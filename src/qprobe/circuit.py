@@ -32,7 +32,6 @@ __all__ = [
     "compose_probe",
     "walk_ops",
     "bit_at",
-    "bits_to_string",
 ]
 
 
@@ -59,11 +58,6 @@ class Gate(Enum):
 def bit_at(bits: str, index: int) -> str:
     """Character of measured qubit ``index`` in a rendered bitstring."""
     return bits[len(bits) - 1 - index]
-
-
-def bits_to_string(bits: Sequence[int]) -> str:
-    """Render bit values (index 0 first) as a string with index 0 rightmost."""
-    return "".join("1" if b else "0" for b in reversed(bits))
 
 
 @dataclass(frozen=True)
@@ -294,17 +288,10 @@ def _route_path(topology: Topology, start: int, goal: int, blocked: set[int]) ->
     return path
 
 
-def transpile(circuit: LogicalCircuit, topology: Topology,
-              initial_mapping: Sequence[int] | Mapping[int, int]) -> TranspiledCircuit:
-    """Route a logical circuit onto a topology under a fixed initial mapping.
-
-    The mapping is a register per logical qubit, either as a sequence indexed
-    by logical id or as an explicit {logical: register} mapping.  Non-adjacent
-    2-qubit ops move their first operand along a shortest path with SWAPs
-    placed immediately before the blocked op; nothing is swapped back
-    afterwards.  Registers holding already-measured qubits are never routed
-    through.
-    """
+def _route(circuit: LogicalCircuit, topology: Topology,
+           initial_mapping: Sequence[int] | Mapping[int, int]
+           ) -> tuple[tuple[TranspiledOp, ...], dict[int, int], dict[int, int]]:
+    """Checked mapping and routing of `transpile`: (ops, initial map, final map)."""
     if isinstance(initial_mapping, Mapping):
         try:
             initial_mapping = [initial_mapping[q] for q in range(len(initial_mapping))]
@@ -349,12 +336,26 @@ def transpile(circuit: LogicalCircuit, topology: Topology,
                 do_swap(pa, nxt)
                 pa = nxt
         out.append(_pair_op(gate, pa, pb))
+    return tuple(out), dict(enumerate(initial_mapping)), l2p
 
+
+def transpile(circuit: LogicalCircuit, topology: Topology,
+              initial_mapping: Sequence[int] | Mapping[int, int]) -> TranspiledCircuit:
+    """Route a logical circuit onto a topology under a fixed initial mapping.
+
+    The mapping is a register per logical qubit, either as a sequence indexed
+    by logical id or as an explicit {logical: register} mapping.  Non-adjacent
+    2-qubit ops move their first operand along a shortest path with SWAPs
+    placed immediately before the blocked op; nothing is swapped back
+    afterwards.  Registers holding already-measured qubits are never routed
+    through.
+    """
+    ops, initial, final = _route(circuit, topology, initial_mapping)
     return TranspiledCircuit(
         num_qubits=topology.num_qubits,
-        ops=tuple(out),
-        initial_mapping={q: p for q, p in enumerate(initial_mapping)},
-        final_mapping=dict(l2p),
+        ops=ops,
+        initial_mapping=initial,
+        final_mapping=final,
         measured=circuit.measured,
         ideal_output=circuit.ideal_output,
     )
@@ -367,19 +368,18 @@ def compose_probe(subprobes: Sequence[tuple[str, Sequence[int]]],
     Each subprobe is a (secret, initial_mapping) pair.  Regions must be
     pairwise at graph distance >= 2 so the subprobes cannot interact even
     through a shared coupler.  A single subprobe composes to exactly its own
-    transpilation.
+    transpilation.  The parts are only routed; the probe is built, and so
+    walked, once as a whole.
     """
     if not subprobes:
         raise CircuitError("compose_probe needs at least one subprobe")
-    parts = [transpile(build_bv(secret), topology, mapping) for secret, mapping in subprobes]
-    used: list[set[int]] = []
-    for part in parts:
-        regs = set(part.initial_mapping.values())
-        for op in part.ops:
-            regs.update(op.registers)
-        used.append(regs)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
+    logical = [build_bv(secret) for secret, _ in subprobes]
+    routed = [_route(circ, topology, mapping)
+              for circ, (_, mapping) in zip(logical, subprobes)]
+    used = [set(initial.values()).union(*(op.registers for op in ops))
+            for ops, initial, _ in routed]
+    for i in range(len(used)):
+        for j in range(i + 1, len(used)):
             gap = topology.set_distance(used[i], used[j])
             if gap is not None and gap < 2:
                 raise CircuitError(
@@ -389,23 +389,18 @@ def compose_probe(subprobes: Sequence[tuple[str, Sequence[int]]],
     initial: dict[int, int] = {}
     final: dict[int, int] = {}
     measured: list[int] = []
-    ideal_bits: list[int] = []
     offset = 0
-    for part in parts:
-        ops.extend(part.ops)
-        for q, p in part.initial_mapping.items():
-            initial[q + offset] = p
-        for q, p in part.final_mapping.items():
-            final[q + offset] = p
-        measured.extend(q + offset for q in part.measured)
-        ideal_bits.extend(part.ideal_bit(i) for i in range(len(part.measured)))
-        offset += max(part.initial_mapping) + 1
+    for circ, (part_ops, part_initial, part_final) in zip(logical, routed):
+        ops.extend(part_ops)
+        initial.update((q + offset, p) for q, p in part_initial.items())
+        final.update((q + offset, p) for q, p in part_final.items())
+        measured.extend(q + offset for q in circ.measured)
+        offset += circ.num_qubits
     return TranspiledCircuit(
         num_qubits=topology.num_qubits,
         ops=tuple(ops),
         initial_mapping=initial,
         final_mapping=final,
         measured=tuple(measured),
-        ideal_output=bits_to_string(ideal_bits),
+        ideal_output="".join(secret for secret, _ in reversed(subprobes)),
     )
-

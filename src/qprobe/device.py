@@ -9,6 +9,7 @@ construction, so they are safe to share freely.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -281,7 +282,7 @@ def load_profile(document: str) -> DeviceProfile:
     ``cnot_error.0-2``.
     """
     try:
-        raw = json.loads(document)
+        raw = json.loads(document, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ProfileError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -306,12 +307,11 @@ def load_profile(document: str) -> DeviceProfile:
 
     cnot = {}
     for key, rate in raw["cnot_error"].items():
-        a, sep, b = key.partition("-")
-        try:
-            ia, ib = int(a), int(b)
-        except ValueError:
-            raise ProfileError(f"cnot_error.{key}: key must look like 'a-b'") from None
-        if not sep or ia >= ib:
+        a, _, b = key.partition("-")
+        ia, ib = _index(a), _index(b)
+        if ia is None or ib is None:
+            raise ProfileError(f"cnot_error.{key}: key must look like 'a-b'")
+        if ia >= ib:
             raise ProfileError(f"cnot_error.{key}: key must be 'a-b' with a < b")
         cnot[(ia, ib)] = _as_rate(f"cnot_error.{key}", rate)
     single = _qubit_rates("single_qubit_error", raw["single_qubit_error"])
@@ -328,6 +328,33 @@ def load_profile(document: str) -> DeviceProfile:
         measurement_error=meas,
         calibration_time=raw["calibration_time"],
     )
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook that rejects a key given twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ProfileError(f"repeated key {key!r} in a JSON object")
+        out[key] = value
+    return out
+
+
+_DECIMAL = re.compile("0|[1-9][0-9]*")
+
+
+def _index(text: str) -> int | None:
+    """Value of a canonical decimal such as "0" or "12", else None.
+
+    Rate-table keys have one spelling each, so no second spelling (" 0",
+    "01", "0_0") can silently overwrite an entry.
+    """
+    if _DECIMAL.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _is_int(value) -> bool:
@@ -350,10 +377,9 @@ def _as_rate(path: str, value) -> float:
 def _qubit_rates(field_name: str, raw: Mapping[str, object]) -> dict[int, float]:
     out = {}
     for key, rate in raw.items():
-        try:
-            q = int(key)
-        except ValueError:
-            raise ProfileError(f"{field_name}.{key}: key must be a qubit index") from None
+        q = _index(key)
+        if q is None:
+            raise ProfileError(f"{field_name}.{key}: key must be a qubit index")
         out[q] = _as_rate(f"{field_name}.{key}", rate)
     return out
 

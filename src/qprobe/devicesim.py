@@ -14,13 +14,12 @@ exactly, since both consume the same walk of the transpiled ops.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from ._flipcore import get_sampler, stream_key
+from ._flipcore import get_sampler, stream_keys
 from .circuit import TranspiledCircuit, bit_at, walk_ops
 from .device import DeviceProfile, TopologyError, topology_compatible
 from .estimator import Fingerprint
@@ -33,8 +32,6 @@ __all__ = [
     "run_rounds",
     "exact_survival",
     "survival_from_counts",
-    "counts_to_json",
-    "counts_from_json",
 ]
 
 _MAX_MEASURED = 64  # packed-word sampler limit; probes stay far below this
@@ -81,7 +78,8 @@ class Counts:
 def _schedule(circuit: TranspiledCircuit, noise: NoiseSpec):
     """Sites, true flip probabilities and target bits of measured-qubit flip events.
 
-    A site is (op index, sub-op, register); with a seed it gives a stream key.
+    Sites are an (n, 3) array of (op index, sub-op, register); with a seed
+    they give the stream keys.
     """
     bit_of = {q: i for i, q in enumerate(circuit.measured)}
     sites, probs, bits = [], [], []
@@ -94,11 +92,8 @@ def _schedule(circuit: TranspiledCircuit, noise: NoiseSpec):
                 sites.append((ev.op_index, ev.sub, ev.register))
                 probs.append(p)
                 bits.append(bit_of[ev.logical])
-    return sites, np.array(probs, dtype=np.float64), np.array(bits, dtype=np.int64)
-
-
-def _stream_keys(sites, seed: int) -> np.ndarray:
-    return np.array([stream_key(seed, *site) for site in sites], dtype=np.uint64)
+    return (np.array(sites, dtype=np.int64).reshape(-1, 3),
+            np.array(probs, dtype=np.float64), np.array(bits, dtype=np.int64))
 
 
 def _check(circuit: TranspiledCircuit, noise: NoiseSpec) -> None:
@@ -118,7 +113,8 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
                rounds: int, seed: int) -> Counts:
     """Pool several executions with per-round derived seeds (round r uses seed+r).
 
-    The circuit is checked and scheduled once; each round derives only its keys.
+    The circuit is checked and scheduled once; each round derives only its
+    keys and samples, and the pooled words are counted in one pass.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
@@ -128,12 +124,12 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
     sites, probs, bits = _schedule(circuit, noise)
     width = len(circuit.measured)
     ideal = sum(circuit.ideal_bit(i) << i for i in range(width))
-    pooled: dict[str, int] = {}
-    for r in range(rounds):
-        packed = get_sampler()(ideal, _stream_keys(sites, seed + r), probs, bits, shots)
-        for v, n in zip(*np.unique(packed, return_counts=True)):
-            outcome = format(int(v), f"0{width}b") if width else ""
-            pooled[outcome] = pooled.get(outcome, 0) + int(n)
+    packed = np.concatenate([
+        get_sampler()(ideal, stream_keys(seed + r, sites), probs, bits, shots)
+        for r in range(rounds)])
+    values, ns = np.unique(packed, return_counts=True)
+    pooled = {format(v, f"0{width}b") if width else "": n
+              for v, n in zip(values.tolist(), ns.tolist())}
     return Counts(counts=pooled, shots=shots * rounds)
 
 
@@ -165,15 +161,3 @@ def survival_from_counts(counts: Counts, ideal_output: str) -> Fingerprint:
                    if bit_at(outcome, i) == bit_at(ideal_output, i))
         survivals.append(good / counts.shots)
     return Fingerprint(tuple(survivals))
-
-
-def counts_to_json(counts: Counts, *, seed: int | None = None) -> str:
-    doc: dict = {"shots": counts.shots, "counts": dict(sorted(counts.counts.items()))}
-    if seed is not None:
-        doc["seed"] = seed
-    return json.dumps(doc, indent=2)
-
-
-def counts_from_json(document: str) -> tuple[Counts, int | None]:
-    raw = json.loads(document)
-    return Counts(counts=raw["counts"], shots=raw["shots"]), raw.get("seed")

@@ -46,9 +46,20 @@ class Fingerprint:
         return self.survivals[index]
 
 
-def _check_profile(circuit: TranspiledCircuit, profile: DeviceProfile) -> None:
+def _survival_walk(circuit: TranspiledCircuit, profile: DeviceProfile):
+    """(op index, locations, survival) before the ops (index -1) and after each.
+
+    Raises TopologyError when the circuit does not fit the profile's topology.
+    ``survival`` is one dict, updated in place by every op's flip events.
+    """
     if not topology_compatible(circuit, profile.topology):
         raise TopologyError(f"circuit does not fit the topology of {profile.device_id!r}")
+    survival = {q: 1.0 for q in circuit.initial_mapping}
+    yield -1, circuit.initial_mapping, survival
+    for step in walk_ops(circuit):
+        for ev in step.events:
+            survival[ev.logical] *= 1.0 - profile.rate_for(ev.error_key)
+        yield step.op_index, step.locations, survival
 
 
 def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> Fingerprint:
@@ -56,11 +67,8 @@ def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> 
 
     Raises TopologyError when the circuit does not fit the profile's topology.
     """
-    _check_profile(circuit, profile)
-    survival = {q: 1.0 for q in circuit.initial_mapping}
-    for step in walk_ops(circuit):
-        for ev in step.events:
-            survival[ev.logical] *= 1.0 - profile.rate_for(ev.error_key)
+    for _, _, survival in _survival_walk(circuit, profile):
+        pass
     return Fingerprint(tuple(survival[q] for q in circuit.measured))
 
 
@@ -70,15 +78,5 @@ def trace_survival(circuit: TranspiledCircuit,
 
     The final snapshot's measured-qubit survivals equal estimate_fingerprint.
     """
-    _check_profile(circuit, profile)
-    survival = {q: 1.0 for q in circuit.initial_mapping}
-
-    def snapshot(locations: dict[int, int]) -> tuple[QubitTrack, ...]:
-        return tuple(QubitTrack(q, locations[q], survival[q]) for q in sorted(locations))
-
-    out = [(-1, snapshot(circuit.initial_mapping))]
-    for step in walk_ops(circuit):
-        for ev in step.events:
-            survival[ev.logical] *= 1.0 - profile.rate_for(ev.error_key)
-        out.append((step.op_index, snapshot(step.locations)))
-    return out
+    return [(index, tuple(QubitTrack(q, locations[q], survival[q]) for q in sorted(locations)))
+            for index, locations, survival in _survival_walk(circuit, profile)]

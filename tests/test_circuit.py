@@ -21,7 +21,6 @@ from qprobe.circuit import (
     TranspiledCircuit,
     TranspiledOp,
     bit_at,
-    bits_to_string,
     build_bv,
     compose_probe,
     transpile,
@@ -39,8 +38,6 @@ RING4 = Topology(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 def test_bitstring_convention():
     assert bit_at("110", 0) == "0"
     assert bit_at("110", 2) == "1"
-    assert bits_to_string([0, 1, 1]) == "110"
-    assert bits_to_string([]) == ""
 
 
 def test_build_bv_gate_sequence():

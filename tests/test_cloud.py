@@ -126,7 +126,7 @@ def test_substitution_onto_an_incompatible_machine_fails_loudly():
         cloud.submit("alpine", probe(), shots=10, rounds=1, seed=0)
 
 
-def test_a_job_walks_its_probe_once_and_checks_topology_once(monkeypatch):
+def count_build_walk_and_fit_calls(monkeypatch) -> Counter:
     calls: Counter = Counter()
 
     def count(owner, name):
@@ -140,12 +140,30 @@ def test_a_job_walks_its_probe_once_and_checks_topology_once(monkeypatch):
     count(TranspiledCircuit, "__post_init__")
     count(qprobe.circuit, "_walk")
     count(qprobe.devicesim, "topology_compatible")
+    return calls
+
+
+def test_a_job_walks_its_probe_once_and_checks_topology_once(monkeypatch):
+    calls = count_build_walk_and_fit_calls(monkeypatch)
     cloud = corner_cloud()
     circuit = compose_probe([("11", (0, 1, 3))], fleetgen.t5())
     estimate_fingerprint(circuit, cloud.get_profile("alpine"))
     cloud.submit("alpine", circuit, shots=100, rounds=3, seed=0)
-    assert calls["__post_init__"] == 2  # the transpiled part and the composition
-    assert calls["_walk"] == calls["__post_init__"]
+    assert calls["__post_init__"] == 1
+    assert calls["_walk"] == 1
+    assert calls["topology_compatible"] == 1
+
+
+def test_a_composite_probe_is_built_and_walked_once(monkeypatch):
+    calls = count_build_walk_and_fit_calls(monkeypatch)
+    line = fleetgen.drift_profiles()[0]
+    cloud = QuantumCloud()
+    cloud.register(CatalogEntry(line.device_id, line, NoiseSpec(line)))
+    circuit = compose_probe(fleetgen.DRIFT_PROBES[4][:2], line.topology)
+    estimate_fingerprint(circuit, line)
+    cloud.submit(line.device_id, circuit, shots=100, rounds=3, seed=0)
+    assert calls["__post_init__"] == 1
+    assert calls["_walk"] == 1
     assert calls["topology_compatible"] == 1
 
 

@@ -214,6 +214,12 @@ def test_profile_round_trip_random_rates(rates):
     (lambda d: d.update(calibration_time=7), "calibration_time"),
     (lambda d: d.update(edges=5), "edges: must be a list"),
     (lambda d: d.update(measurement_error=[0.1]), "measurement_error: must be a JSON object"),
+    # a rate-table key has one spelling, so no second one can overwrite an entry
+    (lambda d: d["measurement_error"].update({" 0": 0.5}), "measurement_error. 0: key must be"),
+    (lambda d: d["cnot_error"].update({"0-01": 0.3}), "cnot_error.0-01: key must look like"),
+    (lambda d: d["single_qubit_error"].update({"0_0": 0.1}), "single_qubit_error.0_0: key must"),
+    # the int key dumps as a second "0" in the same object
+    (lambda d: d["measurement_error"].update({0: 0.5}), "repeated key '0'"),
 ])
 def test_load_profile_reports_field_paths(mutate, message):
     import json
