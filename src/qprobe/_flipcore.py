@@ -6,9 +6,20 @@ is a pure function of the stream key and the shot index.  No sequential RNG
 state exists, so results are bit-reproducible regardless of evaluation
 order, chunking or which kernel runs.
 
-The mixing function is the splitmix64 finalizer.  Uniforms come from the top
-53 bits, so the compiled kernel (same integer ops on uint64, same float
-scale) produces identical outcomes to the numpy path here.
+The mixing function is the splitmix64 finalizer.  Shot s of an event with
+stream key k and flip probability p draws u = mix64(k ^ s * gamma) and flips
+its target bit when the top 53 bits, scaled to [0, 1), fall below p:
+(u >> 11) * 2**-53 < p.  The compiled kernel makes that float test.  The
+numpy kernel makes the equal integer test u < ceil(p * 2**53) << 11: scaling
+by a power of two is exact, an integer x is below a real y exactly when it
+is below ceil(y), u >> 11 < c exactly when u < c << 11, and p < 1 keeps the
+shifted threshold inside 64 bits.
+
+The numpy kernel sorts the events by target bit and, per bit, mixes tiles of
+events x shots of about ``_TILE`` words at once, xor-reducing each tile's
+flips into that bit's parity row; each row is then applied to the packed
+words once.  A call costs a few numpy operations per tile, not per event, and
+its memory is O(shots) plus two tiles.
 """
 
 from __future__ import annotations
@@ -21,15 +32,22 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_U53 = 2.0 ** -53
+_TILE = 1 << 15  # words per events x shots tile of the numpy kernel
 
 
-def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _mix64_np(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer of each word of the uint64 array z, in place; returns z.
+
+    ``scratch``, an array of z's shape and dtype, holds the shifted copies.
+    """
+    if scratch is None:
+        scratch = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 def stream_keys(seed: int, sites) -> np.ndarray:
@@ -47,13 +65,32 @@ def stream_keys(seed: int, sites) -> np.ndarray:
 
 def sample_packed_numpy(ideal: int, keys: np.ndarray, probs: np.ndarray,
                         bits: np.ndarray, shots: int) -> np.ndarray:
-    """Vectorized reference sampler: one packed outcome word per shot."""
+    """Vectorized reference sampler: one packed outcome word per shot.
+
+    ``keys`` are uint64 stream keys, ``probs`` flip probabilities in [0, 1)
+    and ``bits`` the target bit of each event.
+    """
     salts = np.arange(shots, dtype=np.uint64) * np.uint64(_GAMMA)
     out = np.full(shots, ideal, dtype=np.uint64)
-    for j in range(len(keys)):
-        u = _mix64_np(keys[j] ^ salts)
-        flips = (u >> np.uint64(11)).astype(np.float64) * _U53 < probs[j]
-        out ^= flips.astype(np.uint64) << np.uint64(bits[j])
+    if len(keys) == 0:
+        return out
+    order = np.argsort(bits, kind="stable")
+    keys = keys[order]
+    thresholds = np.ceil(probs[order] * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    targets, starts = np.unique(bits[order], return_index=True)
+    ends = np.append(starts[1:], len(keys))
+    step = min(max(1, _TILE // shots), int((ends - starts).max()))
+    words, scratch = np.empty((2, step, shots), dtype=np.uint64)
+    flips = np.empty((step, shots), dtype=bool)
+    for bit, first, stop in zip(targets.tolist(), starts.tolist(), ends.tolist()):
+        parity = np.zeros(shots, dtype=bool)
+        for lo in range(first, stop, step):
+            hi = min(lo + step, stop)
+            tile = np.bitwise_xor(keys[lo:hi, None], salts, out=words[:hi - lo])
+            _mix64_np(tile, scratch[:hi - lo])
+            hit = np.less(tile, thresholds[lo:hi, None], out=flips[:hi - lo])
+            parity ^= np.bitwise_xor.reduce(hit, axis=0)
+        out ^= parity.astype(np.uint64) << np.uint64(bit)
     return out
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .circuit import TranspiledCircuit
-from .device import DeviceProfile, fabricate, load_profile
+from .device import DeviceProfile, ProfileError, _unique_keys, fabricate, load_profile
 from .devicesim import Counts, NoiseSpec, run_rounds
 
 __all__ = [
@@ -202,17 +202,20 @@ def load_fleet(config_path: str | Path, *, hidden_rate: float | None = None) -> 
     per-device values for the whole fleet.  A malformed entry raises
     ValueError with its field path, e.g. ``fleet entry 2: hidden_rate: ...``;
     an entry whose profile, forgery or rate is bad also names its file, e.g.
-    ``fleet entry 1 (bad.json): edges: ...``.  An unreadable profile file
-    raises OSError.
+    ``fleet entry 1 (bad.json): edges: ...``.  A key given twice in one JSON
+    object is an error, as in profiles.  An unreadable profile file raises
+    OSError.
     """
     # checked before the entries, so that a bad argument is not blamed on one of them
     if hidden_rate is not None and not (0.0 <= hidden_rate < 1.0):
         raise ValueError(f"hidden_rate {hidden_rate} outside [0, 1)")
     config_path = Path(config_path)
     try:
-        raw = json.loads(config_path.read_text())
+        raw = json.loads(config_path.read_text(), object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("fleet config nests too deeply") from None
+    except ProfileError as exc:
+        raise ValueError(f"fleet config: {exc}") from None
     if not isinstance(raw, list):
         raise ValueError("fleet config must be a JSON list")
     cloud = QuantumCloud()

@@ -212,6 +212,11 @@ def test_non_finite_threshold_exits_one(corner_fleet, command, threshold, capsys
      "fleet entry 0 (alpine.json): scale_factor True outside (0, 1]"),
     ([{"profile_path": "alpine.json", "fabrication": {"overrides": {"Meas_": 0.1}}}], {},
      "fleet entry 0 (alpine.json): override label 'Meas_' is not CNOT_(a,b)"),
+    # entries given as text are written verbatim, so they can repeat a key
+    ('[{"profile_path": "alpine.json", "profile_path": "boreal.json"}]', {},
+     "fleet config: repeated key 'profile_path' in a JSON object"),
+    ('[{"profile_path": "alpine.json", "hidden_rate": 0.5, "hidden_rate": 0.0}]', {},
+     "fleet config: repeated key 'hidden_rate' in a JSON object"),
 ])
 def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, message, capsys):
     doc = json.loads(dump_profile(fleetgen.corner_profiles()[0]))
@@ -219,12 +224,12 @@ def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, mes
     (tmp_path / "alpine.json").write_text(json.dumps(doc))
     (tmp_path / "boreal.json").write_text(dump_profile(fleetgen.corner_profiles()[1]))
     fleet = tmp_path / "fleet.json"
-    fleet.write_text(json.dumps(entries))
+    fleet.write_text(entries if isinstance(entries, str) else json.dumps(entries))
     # an unmapped exception would escape main() and fail the test with its traceback
     code = main(["identify", "--fleet", str(fleet), *CORNER_PROBE])
     assert code == 1
     # errors from an entry's profile file or its forgery name the entry and the file
-    if not message.startswith("fleet entry"):
+    if not message.startswith(("fleet entry", "fleet config")):
         message = f"fleet entry 0 (alpine.json): {message}"
     assert f"error: {message}" in capsys.readouterr().err
 

@@ -205,6 +205,11 @@ def test_load_fleet_config_errors(tmp_path):
     bad.write_text(json.dumps([{"hidden_rate": 0.1}]))
     with pytest.raises(ValueError, match="entry 0: missing profile_path"):
         load_fleet(bad)
+    # a repeated key would silently keep its last value
+    bad.write_text('[{"profile_path": "alpine.json", "profile_path": "boreal.json", '
+                   '"hidden_rate": 0.5, "hidden_rate": 0.0}]')
+    with pytest.raises(ValueError, match="^fleet config: repeated key 'profile_path'"):
+        load_fleet(bad)
     good = fleetgen.write_fleet(tmp_path, fleetgen.corner_profiles())
     for rate in (1.0, float("nan")):
         with pytest.raises(ValueError, match="^hidden_rate .* outside"):

@@ -2,7 +2,8 @@
 
 The golden stream-key values pin down the counter-based generator; any
 change to the mixing scheme breaks recorded experiment seeds everywhere, so
-those constants must never move silently.
+those constants must never move silently.  The numpy kernel is checked bit
+for bit against ``per_event_sampler``, a fixed one-event-at-a-time oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ from qprobe import (
     run_rounds,
     survival_from_counts,
 )
-from qprobe._flipcore import _mix64_np, active_kernel, get_sampler, sample_packed_numpy, stream_keys
+from qprobe._flipcore import (
+    _GAMMA,
+    _TILE,
+    _mix64_np,
+    active_kernel,
+    get_sampler,
+    sample_packed_numpy,
+    stream_keys,
+)
 from qprobe.circuit import Gate, TranspiledCircuit, TranspiledOp, build_bv, transpile
 from qprobe.devicesim import _schedule
 
@@ -154,6 +163,58 @@ def test_compiled_and_numpy_kernels_agree():
     compiled = get_sampler()(*args)
     assert compiled.dtype == np.uint64
     assert np.array_equal(sample_packed_numpy(*args), compiled)
+
+
+def per_event_sampler(ideal: int, keys: np.ndarray, probs: np.ndarray,
+                      bits: np.ndarray, shots: int) -> np.ndarray:
+    """Oracle: one event at a time, flipping where (u >> 11) * 2**-53 < p."""
+    salts = np.arange(shots, dtype=np.uint64) * np.uint64(_GAMMA)
+    out = np.full(shots, ideal, dtype=np.uint64)
+    for j in range(len(keys)):
+        u = _mix64_np(keys[j] ^ salts)
+        flips = (u >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 < probs[j]
+        out ^= flips.astype(np.uint64) << np.uint64(bits[j])
+    return out
+
+
+# edge probabilities: never, subnormal, the largest below 1, a coin
+EDGE_PROBS = (0.0, 5e-324, 2.0 ** -1060, 1.0 - 2.0 ** -53, 0.5)
+
+
+@pytest.mark.parametrize("events, shots", [
+    (0, 1), (0, 37), (1, 1), (9, 1), (40, 3), (70, 500), (50, 4000), (30, 4099),
+    (5, _TILE), (6, _TILE + 1),
+])
+def test_numpy_kernel_matches_the_per_event_oracle(events, shots):
+    rng = np.random.default_rng([events, shots])
+    keys = rng.integers(0, 2**64, events, dtype=np.uint64)
+    probs = np.where(rng.random(events) < 0.5, rng.choice(EDGE_PROBS, events),
+                     rng.random(events) * 0.2)
+    # bits 0 and 63 interleaved with others, in no order
+    bits = rng.choice([63, 0, 5, 0, 63, 17], events).astype(np.int64)
+    ideal = int(rng.integers(0, 2**64, dtype=np.uint64))
+    args = (ideal, keys, probs, bits, shots)
+    out = sample_packed_numpy(*args)
+    assert out.dtype == np.uint64 and out.shape == (shots,)
+    assert np.array_equal(out, per_event_sampler(*args))
+
+
+def test_flip_threshold_is_strict_at_the_53_bit_boundary():
+    rng = np.random.default_rng(17)
+    keys = rng.integers(0, 2**64, 1 << 15, dtype=np.uint64)
+    shots = rng.integers(0, 300, 1 << 15)
+    draws = _mix64_np(keys ^ shots.astype(np.uint64) * np.uint64(_GAMMA))
+    # a draw whose low 11 bits are zero equals the integer threshold at p
+    on_threshold = np.flatnonzero((draws & np.uint64(2047)) == 0)[:5]
+    assert len(on_threshold) == 5
+    bits = np.zeros(1, dtype=np.int64)
+    for i in [*on_threshold.tolist(), *range(200)]:
+        key, shot, u = keys[i], int(shots[i]), draws[i]
+        p = float(u >> np.uint64(11)) * 2.0 ** -53  # exact: the draw itself
+        for q, flipped in ((p, 0), (np.nextafter(p, 1.0), 1), (np.nextafter(p, 0.0), 0)):
+            args = (0, np.array([key]), np.array([q]), bits, shot + 1)
+            assert int(sample_packed_numpy(*args)[shot]) == flipped
+            assert int(per_event_sampler(*args)[shot]) == flipped
 
 
 def test_survival_marginals_from_counts():
