@@ -1,27 +1,14 @@
 """Build hook for the optional compiled sampling kernel.
 
-The package is pure Python; qprobe._flipcore_c is a drop-in accelerator for
-the per-shot flip sampler and the import machinery falls back to the numpy
-implementation when the extension is absent.
+The package is pure Python; qprobe._flipcore_c is a plain C accelerator for
+the per-shot flip sampler.  The extension is optional: without a C compiler
+the build skips it and the package uses the numpy kernel, which gives the
+same bits.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "qprobe._flipcore_c",
-                ["src/qprobe/_flipcore_c.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[
+    Extension("qprobe._flipcore_c", ["src/qprobe/_flipcore_c.c"],
+              extra_compile_args=["-O3"], optional=True),
+])

@@ -7,13 +7,12 @@ state exists, so results are bit-reproducible regardless of evaluation
 order, chunking or which kernel runs.
 
 The mixing function is the splitmix64 finalizer.  Shot s of an event with
-stream key k and flip probability p draws u = mix64(k ^ s * gamma) and flips
-its target bit when the top 53 bits, scaled to [0, 1), fall below p:
-(u >> 11) * 2**-53 < p.  The compiled kernel makes that float test.  The
-numpy kernel makes the equal integer test u < ceil(p * 2**53) << 11: scaling
-by a power of two is exact, an integer x is below a real y exactly when it
-is below ceil(y), u >> 11 < c exactly when u < c << 11, and p < 1 keeps the
-shifted threshold inside 64 bits.
+stream key k draws u = mix64(k ^ s * gamma) and flips its target bit when
+u < t, the event's threshold.  ``flip_thresholds`` turns a flip probability
+p in [0, 1) into t = ceil(p * 2**53) << 11, so a bit flips exactly when the
+top 53 bits of u, scaled to [0, 1), fall below p.  Both kernels take the
+same arguments, (ideal, keys, thresholds, bits, shots), and make that one
+integer test.
 
 The numpy kernel sorts the events by target bit and, per bit, mixes tiles of
 events x shots of about ``_TILE`` words at once, xor-reducing each tile's
@@ -26,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream_keys", "sample_packed_numpy", "active_kernel", "get_sampler"]
+__all__ = ["stream_keys", "flip_thresholds", "sample_packed_numpy", "compiled_sampler",
+           "active_kernel", "get_sampler"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -63,20 +63,34 @@ def stream_keys(seed: int, sites) -> np.ndarray:
     return _mix64_np(h ^ ((sites[:, 2] + np.uint64(1)) * gamma))
 
 
-def sample_packed_numpy(ideal: int, keys: np.ndarray, probs: np.ndarray,
+def flip_thresholds(probs) -> np.ndarray:
+    """uint64 flip threshold ceil(p * 2**53) << 11 of each probability p in [0, 1).
+
+    Scaling by a power of two is exact and p < 1 keeps the shifted
+    threshold inside 64 bits.
+    """
+    scaled = np.ceil(np.asarray(probs, dtype=np.float64) * 2.0 ** 53)
+    return scaled.astype(np.uint64) << np.uint64(11)
+
+
+def sample_packed_numpy(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
                         bits: np.ndarray, shots: int) -> np.ndarray:
     """Vectorized reference sampler: one packed outcome word per shot.
 
-    ``keys`` are uint64 stream keys, ``probs`` flip probabilities in [0, 1)
-    and ``bits`` the target bit of each event.
+    ``keys`` are uint64 stream keys, ``thresholds`` the uint64 flip
+    thresholds from ``flip_thresholds`` and ``bits`` the target bit of each
+    event.
     """
+    if not len(keys) == len(thresholds) == len(bits):
+        raise ValueError(f"{len(keys)} keys, {len(thresholds)} thresholds and "
+                         f"{len(bits)} bits: need one of each per event")
     salts = np.arange(shots, dtype=np.uint64) * np.uint64(_GAMMA)
     out = np.full(shots, ideal, dtype=np.uint64)
     if len(keys) == 0:
         return out
     order = np.argsort(bits, kind="stable")
     keys = keys[order]
-    thresholds = np.ceil(probs[order] * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    thresholds = thresholds[order]
     targets, starts = np.unique(bits[order], return_index=True)
     ends = np.append(starts[1:], len(keys))
     step = min(max(1, _TILE // shots), int((ends - starts).max()))
@@ -94,6 +108,22 @@ def sample_packed_numpy(ideal: int, keys: np.ndarray, probs: np.ndarray,
     return out
 
 
+def compiled_sampler(ext):
+    """The sampler of a built ``_flipcore_c`` extension module ``ext``.
+
+    Same arguments and output as ``sample_packed_numpy``.
+    """
+    def sample_packed_compiled(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
+                               bits: np.ndarray, shots: int) -> np.ndarray:
+        out = np.empty(shots, dtype=np.uint64)
+        ext.sample_packed(ideal, np.ascontiguousarray(keys, dtype=np.uint64),
+                          np.ascontiguousarray(thresholds, dtype=np.uint64),
+                          np.ascontiguousarray(bits, dtype=np.int64), shots, out)
+        return out
+
+    return sample_packed_compiled
+
+
 def _bind_sampler():
     """The kernel this process uses: (name, sampler), chosen once at import.
 
@@ -103,14 +133,7 @@ def _bind_sampler():
         from . import _flipcore_c
     except ImportError:
         return "numpy", sample_packed_numpy
-
-    def sample_packed_compiled(ideal: int, keys: np.ndarray, probs: np.ndarray,
-                               bits: np.ndarray, shots: int) -> np.ndarray:
-        out = np.empty(shots, dtype=np.uint64)
-        _flipcore_c.sample_packed(ideal, keys, probs, bits.astype(np.int64), shots, out)
-        return out
-
-    return "compiled", sample_packed_compiled
+    return "compiled", compiled_sampler(_flipcore_c)
 
 
 _KERNEL, _SAMPLER = _bind_sampler()

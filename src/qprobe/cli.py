@@ -523,7 +523,9 @@ def main(argv: list[str] | None = None) -> int:
     # every input error the package raises (CommandError, ProfileError,
     # CircuitError, TopologyError, JSON decoding) is a ValueError
     except (KeyError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        click.echo(f"error: {message}", err=True)
         return 1
     return 0
 

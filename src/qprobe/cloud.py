@@ -179,10 +179,17 @@ def _entry_from_config(profile: DeviceProfile, hidden_rate: float,
     )
 
 
+def _reject_unknown_keys(obj: dict, known: tuple[str, ...]) -> None:
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}")
+
+
 def _check_fleet_entry(item) -> None:
     """Raise ValueError naming the first malformed field of a fleet entry."""
     if not isinstance(item, dict):
         raise ValueError("must be a JSON object")
+    _reject_unknown_keys(item, ("profile_path", "hidden_rate", "fabrication"))
     if "profile_path" not in item:
         raise ValueError("missing profile_path")
     for name, kind, what in (("profile_path", str, "a string"),
@@ -190,6 +197,10 @@ def _check_fleet_entry(item) -> None:
                              ("fabrication", dict, "a JSON object")):
         if name in item and (not isinstance(item[name], kind) or isinstance(item[name], bool)):
             raise ValueError(f"{name}: must be {what}")
+    try:
+        _reject_unknown_keys(item.get("fabrication", {}), ("scale", "overrides"))
+    except ValueError as exc:
+        raise ValueError(f"fabrication: {exc}") from None
 
 
 def load_fleet(config_path: str | Path, *, hidden_rate: float | None = None) -> QuantumCloud:
@@ -203,7 +214,8 @@ def load_fleet(config_path: str | Path, *, hidden_rate: float | None = None) -> 
     ValueError with its field path, e.g. ``fleet entry 2: hidden_rate: ...``;
     an entry whose profile, forgery or rate is bad also names its file, e.g.
     ``fleet entry 1 (bad.json): edges: ...``.  A key given twice in one JSON
-    object is an error, as in profiles.  An unreadable profile file raises
+    object is an error, as in profiles, and so is a key an entry or its
+    ``fabrication`` does not know.  An unreadable profile file raises
     OSError.
     """
     # checked before the entries, so that a bad argument is not blamed on one of them

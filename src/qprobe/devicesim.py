@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._flipcore import get_sampler, stream_keys
+from ._flipcore import flip_thresholds, get_sampler, stream_keys
 from .circuit import TranspiledCircuit, bit_at, walk_ops
 from .device import DeviceProfile, TopologyError, topology_compatible
 from .estimator import Fingerprint
@@ -113,8 +113,9 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
                rounds: int, seed: int) -> Counts:
     """Pool several executions with per-round derived seeds (round r uses seed+r).
 
-    The circuit is checked and scheduled once; each round derives only its
-    keys and samples, and the pooled words are counted in one pass.
+    The circuit is checked, scheduled and given its flip thresholds once;
+    each round derives only its keys and samples, and the pooled words are
+    counted in one pass.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
@@ -122,10 +123,11 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
         raise ValueError("shots must be positive")
     _check(circuit, noise)
     sites, probs, bits = _schedule(circuit, noise)
+    thresholds = flip_thresholds(probs)
     width = len(circuit.measured)
     ideal = sum(circuit.ideal_bit(i) << i for i in range(width))
     packed = np.concatenate([
-        get_sampler()(ideal, stream_keys(seed + r, sites), probs, bits, shots)
+        get_sampler()(ideal, stream_keys(seed + r, sites), thresholds, bits, shots)
         for r in range(rounds)])
     values, ns = np.unique(packed, return_counts=True)
     pooled = {format(v, f"0{width}b") if width else "": n

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import fleetgen
+
+FLIPCORE_C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "qprobe" / "_flipcore_c.c"
 
 # One line per acceptance check, printed after the run so the verdicts are
 # visible even with output capture on.
@@ -25,6 +30,32 @@ def grit_fleet(tmp_path_factory):
 def drift_fleet(tmp_path_factory):
     fleet_dir = tmp_path_factory.mktemp("drift_fleet")
     return fleetgen.write_fleet(fleet_dir, fleetgen.drift_profiles())
+
+
+@pytest.fixture(scope="session")
+def flipcore_c(tmp_path_factory):
+    """The C sampling kernel, built from source with setuptools' build_ext.
+
+    Skips only when the build fails, i.e. without a C compiler or headers.
+    """
+    from setuptools import Distribution, Extension
+    from setuptools.errors import CompileError, LinkError, PlatformError
+
+    build_dir = tmp_path_factory.mktemp("flipcore_c")
+    ext = Extension("_flipcore_c", [str(FLIPCORE_C_SOURCE)], extra_compile_args=["-O3"])
+    cmd = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
+    cmd.build_lib = str(build_dir)
+    cmd.build_temp = str(build_dir / "tmp")
+    try:
+        cmd.ensure_finalized()
+        cmd.run()
+    except (CompileError, LinkError, PlatformError) as exc:
+        pytest.skip(f"cannot build the C kernel: {exc}")
+    spec = importlib.util.spec_from_file_location("_flipcore_c",
+                                                  cmd.get_ext_fullpath("_flipcore_c"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

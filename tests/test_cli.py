@@ -187,6 +187,17 @@ def test_non_finite_threshold_exits_one(corner_fleet, command, threshold, capsys
     assert "fraudulent" not in captured.out and "honest" not in captured.out
 
 
+@pytest.mark.parametrize("command", [
+    ["detect-sub", "--victim", "alpine", "--actual", "nope"],
+    ["detect-sub", "--victim", "nope", "--actual", "alpine"],
+    ["detect-fab", "--device", "nope", "--fab", "scale:0.5"],
+])
+def test_unknown_device_exits_one_with_an_unquoted_message(corner_fleet, command, capsys):
+    code = main([*command, "--fleet", str(corner_fleet), *CORNER_PROBE])
+    assert code == 1
+    assert capsys.readouterr().err == "error: attack references unknown device 'nope'\n"
+
+
 @pytest.mark.parametrize("entries, profile_update, message", [
     ([1], {}, "fleet entry 0: must be a JSON object"),
     ([{"profile_path": "alpine.json", "hidden_rate": "x"}], {},
@@ -217,6 +228,13 @@ def test_non_finite_threshold_exits_one(corner_fleet, command, threshold, capsys
      "fleet config: repeated key 'profile_path' in a JSON object"),
     ('[{"profile_path": "alpine.json", "hidden_rate": 0.5, "hidden_rate": 0.0}]', {},
      "fleet config: repeated key 'hidden_rate' in a JSON object"),
+    # a misspelled key would silently fall back to its default
+    ([{"profile_path": "alpine.json", "hiden_rate": 0.3}], {},
+     "fleet entry 0: unknown key 'hiden_rate'"),
+    ([{"profile_pth": "alpine.json"}], {}, "fleet entry 0: unknown key 'profile_pth'"),
+    ([{"profile_path": "alpine.json",
+       "fabrication": {"scale": 0.5, "overides": {"Meas_0": 0.1}}}], {},
+     "fleet entry 0: fabrication: unknown key 'overides'"),
 ])
 def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, message, capsys):
     doc = json.loads(dump_profile(fleetgen.corner_profiles()[0]))

@@ -205,6 +205,13 @@ def test_load_fleet_config_errors(tmp_path):
     bad.write_text(json.dumps([{"hidden_rate": 0.1}]))
     with pytest.raises(ValueError, match="entry 0: missing profile_path"):
         load_fleet(bad)
+    bad.write_text(json.dumps([{"profile_path": "alpine.json", "hiden_rate": 0.3}]))
+    with pytest.raises(ValueError, match="^fleet entry 0: unknown key 'hiden_rate'$"):
+        load_fleet(bad)
+    bad.write_text(json.dumps([{"profile_path": "alpine.json",
+                                "fabrication": {"scale": 0.5, "overides": {}}}]))
+    with pytest.raises(ValueError, match="^fleet entry 0: fabrication: unknown key 'overides'$"):
+        load_fleet(bad)
     # a repeated key would silently keep its last value
     bad.write_text('[{"profile_path": "alpine.json", "profile_path": "boreal.json", '
                    '"hidden_rate": 0.5, "hidden_rate": 0.0}]')

@@ -2,8 +2,10 @@
 
 The golden stream-key values pin down the counter-based generator; any
 change to the mixing scheme breaks recorded experiment seeds everywhere, so
-those constants must never move silently.  The numpy kernel is checked bit
-for bit against ``per_event_sampler``, a fixed one-event-at-a-time oracle.
+those constants must never move silently.  Both kernels, numpy and the C
+kernel built from source by the ``flipcore_c`` fixture, are checked bit for
+bit against ``per_event_sampler``, a fixed one-event-at-a-time oracle that
+makes the float test (u >> 11) * 2**-53 < p.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from qprobe._flipcore import (
     _GAMMA,
     _TILE,
     _mix64_np,
-    active_kernel,
+    compiled_sampler,
+    flip_thresholds,
     get_sampler,
     sample_packed_numpy,
     stream_keys,
@@ -152,17 +155,43 @@ def test_run_rounds_pools_single_executions():
     assert pooled.counts == manual
 
 
-def test_compiled_and_numpy_kernels_agree():
-    if active_kernel() != "compiled":
-        pytest.skip("compiled kernel not built")
+@pytest.fixture(params=["numpy", "compiled"])
+def kernel(request):
+    """Each sampling kernel in turn; the compiled one is built from source."""
+    if request.param == "numpy":
+        return sample_packed_numpy
+    return compiled_sampler(request.getfixturevalue("flipcore_c"))
+
+
+def test_compiled_and_numpy_kernels_agree(flipcore_c):
     rng = np.random.default_rng(13)
     circ, noise = fleetgen.random_fixture(rng)
     sites, probs, bits = _schedule(circ, noise)
     ideal = sum(circ.ideal_bit(i) << i for i in range(len(circ.measured)))
-    args = (ideal, stream_keys(31, sites), probs, bits, 20000)
-    compiled = get_sampler()(*args)
+    args = (ideal, stream_keys(31, sites), flip_thresholds(probs), bits, 20000)
+    compiled = compiled_sampler(flipcore_c)(*args)
     assert compiled.dtype == np.uint64
     assert np.array_equal(sample_packed_numpy(*args), compiled)
+    assert np.array_equal(get_sampler()(*args), compiled)
+
+
+@pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 4), (0, 1, 0)])
+def test_kernels_reject_mismatched_lengths(kernel, lengths):
+    keys, thresholds, bits = (np.zeros(n, dtype=dtype) for n, dtype in
+                              zip(lengths, (np.uint64, np.uint64, np.int64)))
+    with pytest.raises(ValueError):
+        kernel(0, keys, thresholds, bits, 5)
+
+
+def test_c_kernel_rejects_a_mismatched_out_buffer_and_bad_bits(flipcore_c):
+    keys = thresholds = np.zeros(2, dtype=np.uint64)
+    bits = np.zeros(2, dtype=np.int64)
+    with pytest.raises(ValueError):
+        flipcore_c.sample_packed(0, keys, thresholds, bits, 5, np.empty(4, dtype=np.uint64))
+    for bit in (-1, 64):
+        with pytest.raises(ValueError):
+            flipcore_c.sample_packed(0, keys, thresholds, np.array([0, bit]), 5,
+                                     np.empty(5, dtype=np.uint64))
 
 
 def per_event_sampler(ideal: int, keys: np.ndarray, probs: np.ndarray,
@@ -181,11 +210,13 @@ def per_event_sampler(ideal: int, keys: np.ndarray, probs: np.ndarray,
 EDGE_PROBS = (0.0, 5e-324, 2.0 ** -1060, 1.0 - 2.0 ** -53, 0.5)
 
 
-@pytest.mark.parametrize("events, shots", [
+ORACLE_CASES = pytest.mark.parametrize("events, shots", [
     (0, 1), (0, 37), (1, 1), (9, 1), (40, 3), (70, 500), (50, 4000), (30, 4099),
     (5, _TILE), (6, _TILE + 1),
 ])
-def test_numpy_kernel_matches_the_per_event_oracle(events, shots):
+
+
+def assert_matches_the_per_event_oracle(kernel, events, shots):
     rng = np.random.default_rng([events, shots])
     keys = rng.integers(0, 2**64, events, dtype=np.uint64)
     probs = np.where(rng.random(events) < 0.5, rng.choice(EDGE_PROBS, events),
@@ -193,13 +224,22 @@ def test_numpy_kernel_matches_the_per_event_oracle(events, shots):
     # bits 0 and 63 interleaved with others, in no order
     bits = rng.choice([63, 0, 5, 0, 63, 17], events).astype(np.int64)
     ideal = int(rng.integers(0, 2**64, dtype=np.uint64))
-    args = (ideal, keys, probs, bits, shots)
-    out = sample_packed_numpy(*args)
+    out = kernel(ideal, keys, flip_thresholds(probs), bits, shots)
     assert out.dtype == np.uint64 and out.shape == (shots,)
-    assert np.array_equal(out, per_event_sampler(*args))
+    assert np.array_equal(out, per_event_sampler(ideal, keys, probs, bits, shots))
 
 
-def test_flip_threshold_is_strict_at_the_53_bit_boundary():
+@ORACLE_CASES
+def test_numpy_kernel_matches_the_per_event_oracle(events, shots):
+    assert_matches_the_per_event_oracle(sample_packed_numpy, events, shots)
+
+
+@ORACLE_CASES
+def test_compiled_kernel_matches_the_per_event_oracle(flipcore_c, events, shots):
+    assert_matches_the_per_event_oracle(compiled_sampler(flipcore_c), events, shots)
+
+
+def assert_strict_at_the_53_bit_boundary(kernel):
     rng = np.random.default_rng(17)
     keys = rng.integers(0, 2**64, 1 << 15, dtype=np.uint64)
     shots = rng.integers(0, 300, 1 << 15)
@@ -209,12 +249,21 @@ def test_flip_threshold_is_strict_at_the_53_bit_boundary():
     assert len(on_threshold) == 5
     bits = np.zeros(1, dtype=np.int64)
     for i in [*on_threshold.tolist(), *range(200)]:
-        key, shot, u = keys[i], int(shots[i]), draws[i]
+        key, shot, u = np.array([keys[i]]), int(shots[i]), draws[i]
         p = float(u >> np.uint64(11)) * 2.0 ** -53  # exact: the draw itself
         for q, flipped in ((p, 0), (np.nextafter(p, 1.0), 1), (np.nextafter(p, 0.0), 0)):
-            args = (0, np.array([key]), np.array([q]), bits, shot + 1)
-            assert int(sample_packed_numpy(*args)[shot]) == flipped
-            assert int(per_event_sampler(*args)[shot]) == flipped
+            probs = np.array([q])
+            out = kernel(0, key, flip_thresholds(probs), bits, shot + 1)
+            assert int(out[shot]) == flipped
+            assert int(per_event_sampler(0, key, probs, bits, shot + 1)[shot]) == flipped
+
+
+def test_flip_threshold_is_strict_at_the_53_bit_boundary():
+    assert_strict_at_the_53_bit_boundary(sample_packed_numpy)
+
+
+def test_compiled_flip_threshold_is_strict_at_the_53_bit_boundary(flipcore_c):
+    assert_strict_at_the_53_bit_boundary(compiled_sampler(flipcore_c))
 
 
 def test_survival_marginals_from_counts():
