@@ -7,7 +7,7 @@ rendering of counts dictionaries.
 The op walk (`walk_ops`) is the single source of truth for which error
 opportunities touch which qubit.  A circuit is walked once, when it is built;
 the survival estimator, the analytic survival oracle and the Monte-Carlo
-executor all read that stored walk, so their per-qubit op paths agree.
+executor all read that walk's measured-qubit rows, ``flips``, so they agree.
 """
 
 from __future__ import annotations
@@ -198,6 +198,8 @@ class TranspiledCircuit:
     qubits in fingerprint order.  The constructor replays the ops to confirm
     the final mapping and that each measured qubit is measured exactly once,
     by the last op touching its register, and keeps that replay in ``steps``.
+    ``flips`` holds its measured-qubit events in walk order, one row
+    ((op index, sub-op, register), fingerprint index, error key) each.
     """
 
     num_qubits: int
@@ -207,6 +209,7 @@ class TranspiledCircuit:
     measured: tuple[int, ...]
     ideal_output: str
     steps: tuple[WalkStep, ...] = field(init=False, compare=False, repr=False)
+    flips: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for q, p in self.initial_mapping.items():
@@ -229,6 +232,10 @@ class TranspiledCircuit:
         if any(c not in "01" for c in self.ideal_output):
             raise CircuitError("ideal_output must be a bitstring")
         object.__setattr__(self, "steps", steps)
+        bit_of = {q: i for i, q in enumerate(self.measured)}
+        object.__setattr__(self, "flips", tuple(
+            ((ev.op_index, ev.sub, ev.register), bit_of[ev.logical], ev.error_key)
+            for step in steps for ev in step.events if ev.logical in bit_of))
 
     def ideal_bit(self, fingerprint_index: int) -> int:
         return int(bit_at(self.ideal_output, fingerprint_index))

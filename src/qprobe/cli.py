@@ -21,7 +21,7 @@ import click
 from .circuit import CircuitError, TranspiledCircuit, compose_probe
 from .cloud import AttackConfig, QuantumCloud, load_fleet
 from .detector import DEFAULT_THRESHOLD, check_threshold, detect, manhattan_avg, match_device
-from .device import TopologyError, load_profile
+from .device import TopologyError, _index, load_profile
 from .devicesim import survival_from_counts
 from .estimator import Fingerprint, estimate_fingerprint, trace_survival
 
@@ -91,10 +91,11 @@ def parse_probe_args(probes: tuple[str, ...], mappings: tuple[str, ...]) -> list
             secrets.append(secret)
         groups = []
         for group in mapping.split(";"):
-            try:
-                groups.append(tuple(int(x) for x in group.split(",") if x != ""))
-            except ValueError:
-                raise CommandError(f"mapping group {group!r} must be comma-separated ints") from None
+            # one spelling per register, as for rate-table keys: no "", " 1", "+1", "01"
+            registers = tuple(_index(x) for x in group.split(","))
+            if None in registers:
+                raise CommandError(f"mapping group {group!r} must be comma-separated ints")
+            groups.append(registers)
         if len(groups) != len(secrets):
             raise CommandError(f"probe {probe!r} has {len(secrets)} subprobes "
                                f"but mapping {mapping!r} has {len(groups)} groups")
@@ -343,6 +344,7 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
     trials = []
     job_index = 0
     for probe in probes:
+        label, size = probe.label, probe.size
         circuit, _ = probe.build(cloud)
         expected = _fitting_estimates(cloud, circuit)
         for device_id in expected:
@@ -352,7 +354,7 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
             observed = survival_from_counts(job.counts, circuit.ideal_output)
             for candidate in expected:
                 trials.append({
-                    "probe": probe.label, "size": probe.size, "device": device_id,
+                    "probe": label, "size": size, "device": device_id,
                     "candidate": candidate, "seed": job_seed,
                     "pair": "honest" if candidate == device_id else "cross",
                     "distance": manhattan_avg(expected[candidate], observed),

@@ -43,8 +43,8 @@ def _norm_edge(a: int, b: int) -> tuple[int, int]:
 class Topology:
     """Undirected coupling graph of a device.
 
-    Edges are stored with endpoints in ascending order; self-loops and
-    duplicates are rejected.  Equality and hashing ignore the adjacency cache.
+    Edges are stored with endpoints in ascending order, duplicates merged;
+    self-loops are rejected.  Equality and hashing ignore the adjacency cache.
     """
 
     num_qubits: int

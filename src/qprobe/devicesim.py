@@ -9,7 +9,7 @@ oracle in `exact_survival`: a bit survives when an even number of its flip
 opportunities fire.
 
 Flip opportunities per qubit mirror the user-side estimator's op walk
-exactly, since both consume the same walk of the transpiled ops.
+exactly, since both read the same rows of it, ``circuit.flips``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from ._flipcore import flip_thresholds, get_sampler, stream_keys
-from .circuit import TranspiledCircuit, bit_at, walk_ops
-from .device import DeviceProfile, TopologyError, topology_compatible
-from .estimator import Fingerprint
+from .circuit import TranspiledCircuit, bit_at
+from .device import DeviceProfile, TopologyError
+from .estimator import Fingerprint, require_fit
 
 __all__ = [
     "NoiseSpec",
@@ -76,32 +76,20 @@ class Counts:
 
 
 def _schedule(circuit: TranspiledCircuit, noise: NoiseSpec):
-    """Sites, true flip probabilities and target bits of measured-qubit flip events.
+    """Sites, true flip probabilities and target bits of the circuit's flip rows.
 
     Sites are an (n, 3) array of (op index, sub-op, register); with a seed
     they give the stream keys.
     """
-    bit_of = {q: i for i, q in enumerate(circuit.measured)}
-    sites, probs, bits = [], [], []
-    for step in walk_ops(circuit):
-        for ev in step.events:
-            if ev.logical in bit_of:
-                p = noise.true_profile.rate_for(ev.error_key) + noise.hidden_rate
-                if p >= 1.0:
-                    raise ValueError(f"effective flip probability {p} at op {ev.op_index} not < 1")
-                sites.append((ev.op_index, ev.sub, ev.register))
-                probs.append(p)
-                bits.append(bit_of[ev.logical])
-    return (np.array(sites, dtype=np.int64).reshape(-1, 3),
-            np.array(probs, dtype=np.float64), np.array(bits, dtype=np.int64))
-
-
-def _check(circuit: TranspiledCircuit, noise: NoiseSpec) -> None:
-    if not topology_compatible(circuit, noise.true_profile.topology):
-        raise TopologyError(
-            f"circuit does not fit the topology of {noise.true_profile.device_id!r}")
     if len(circuit.measured) > _MAX_MEASURED:
         raise ValueError(f"at most {_MAX_MEASURED} measured qubits supported")
+    probs = [noise.true_profile.rate_for(key) + noise.hidden_rate for _, _, key in circuit.flips]
+    for p, (site, _, _) in zip(probs, circuit.flips):
+        if p >= 1.0:
+            raise ValueError(f"effective flip probability {p} at op {site[0]} not < 1")
+    return (np.array([site for site, _, _ in circuit.flips], dtype=np.int64).reshape(-1, 3),
+            np.array(probs, dtype=np.float64),
+            np.array([bit for _, bit, _ in circuit.flips], dtype=np.int64))
 
 
 def execute(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int, seed: int) -> Counts:
@@ -121,7 +109,7 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
         raise ValueError("rounds must be positive")
     if shots < 1:
         raise ValueError("shots must be positive")
-    _check(circuit, noise)
+    require_fit(circuit, noise.true_profile)
     sites, probs, bits = _schedule(circuit, noise)
     thresholds = flip_thresholds(probs)
     width = len(circuit.measured)
@@ -142,7 +130,7 @@ def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:
     opportunities fire, so survival is (1 + prod_k (1 - 2 p_k)) / 2 over that
     qubit's opportunities.
     """
-    _check(circuit, noise)
+    require_fit(circuit, noise.true_profile)
     _, probs, bits = _schedule(circuit, noise)
     parity = [1.0] * len(circuit.measured)
     for p, bit in zip(probs.tolist(), bits.tolist()):

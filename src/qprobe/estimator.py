@@ -5,8 +5,8 @@ probability).  Walking the transpiled ops in order, every op that touches a
 tracked qubit's register multiplies its survival by (1 - e) where e is the
 op's published error rate; a SWAP counts as its three constituent CNOTs and
 exchanges the two locations; a MEASURE applies the readout error of the
-register the qubit ends up on.  One pass over the ops, so the cost is linear
-in circuit length.
+register the qubit ends up on.  That one pass is made when the circuit is
+built; an estimate folds its measured-qubit rows, ``circuit.flips``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .circuit import TranspiledCircuit, walk_ops
 from .device import DeviceProfile, TopologyError, topology_compatible
 
-__all__ = ["QubitTrack", "Fingerprint", "estimate_fingerprint", "trace_survival"]
+__all__ = ["QubitTrack", "Fingerprint", "estimate_fingerprint", "trace_survival", "require_fit"]
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,10 @@ class Fingerprint:
         return self.survivals[index]
 
 
-def _survival_walk(circuit: TranspiledCircuit, profile: DeviceProfile):
-    """(op index, locations, survival) before the ops (index -1) and after each.
-
-    Raises TopologyError when the circuit does not fit the profile's topology.
-    ``survival`` is one dict, updated in place by every op's flip events.
-    """
+def require_fit(circuit: TranspiledCircuit, profile: DeviceProfile) -> None:
+    """Raise TopologyError when the circuit does not fit the profile's topology."""
     if not topology_compatible(circuit, profile.topology):
         raise TopologyError(f"circuit does not fit the topology of {profile.device_id!r}")
-    survival = {q: 1.0 for q in circuit.initial_mapping}
-    yield -1, circuit.initial_mapping, survival
-    for step in walk_ops(circuit):
-        for ev in step.events:
-            survival[ev.logical] *= 1.0 - profile.rate_for(ev.error_key)
-        yield step.op_index, step.locations, survival
 
 
 def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> Fingerprint:
@@ -67,9 +57,11 @@ def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> 
 
     Raises TopologyError when the circuit does not fit the profile's topology.
     """
-    for _, _, survival in _survival_walk(circuit, profile):
-        pass
-    return Fingerprint(tuple(survival[q] for q in circuit.measured))
+    require_fit(circuit, profile)
+    survival = [1.0] * len(circuit.measured)
+    for _, bit, key in circuit.flips:
+        survival[bit] *= 1.0 - profile.rate_for(key)
+    return Fingerprint(tuple(survival))
 
 
 def trace_survival(circuit: TranspiledCircuit,
@@ -78,5 +70,12 @@ def trace_survival(circuit: TranspiledCircuit,
 
     The final snapshot's measured-qubit survivals equal estimate_fingerprint.
     """
-    return [(index, tuple(QubitTrack(q, locations[q], survival[q]) for q in sorted(locations)))
-            for index, locations, survival in _survival_walk(circuit, profile)]
+    require_fit(circuit, profile)
+    survival = {q: 1.0 for q in circuit.initial_mapping}
+    snapshots = [(-1, circuit.initial_mapping, dict(survival))]
+    for step in walk_ops(circuit):
+        for ev in step.events:
+            survival[ev.logical] *= 1.0 - profile.rate_for(ev.error_key)
+        snapshots.append((step.op_index, step.locations, dict(survival)))
+    return [(index, tuple(QubitTrack(q, locations[q], s[q]) for q in sorted(locations)))
+            for index, locations, s in snapshots]

@@ -7,6 +7,7 @@ identification miss) shows up, 1 for configuration mistakes.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,6 +47,12 @@ def test_parse_composite_probe():
     (("bv:11",), ("0,a,2",), "comma-separated ints"),
     (("bv:11+bv:1",), ("0,1,2",), "mapping '0,1,2' has 1 group"),
     (("bv:11",), ("0,1",), "needs 3 mapped qubits"),
+    # a register has one spelling; nothing is dropped or read leniently
+    *[pytest.param(("bv:11",), (mapping,), re.escape(f"mapping group {mapping!r} must be"),
+                   id=f"mapping {mapping!r}")
+      for mapping in ("0,,1,3", "0,1,3,", ",0,1,3", " 0,1,3", "0,1,+3", "0,01,3", "")],
+    (("bv:11+bv:1",), ("0,1,2;",), "mapping group '' must be"),
+    (("bv:11+bv:1",), ("0,1,2;5,-6",), "mapping group '5,-6' must be"),
 ])
 def test_parse_probe_rejections(probes, mappings, message):
     with pytest.raises(CommandError, match=message):
@@ -166,6 +173,7 @@ def test_sweep_reports_a_usable_gap(corner_fleet, tmp_path):
     ["--probe", "bv:2", "--mapping", "0,1"],
     ["--probe", "bv:11", "--mapping", "0,1"],
     ["--probe", "bv:11", "--mapping", "90,91,92"],
+    ["--probe", "bv:11", "--mapping", "0,1,+3"],
 ])
 def test_configuration_mistakes_exit_one(corner_fleet, argv_tail, capsys):
     code = main(["identify", "--fleet", str(corner_fleet), *argv_tail])

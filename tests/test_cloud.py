@@ -9,7 +9,7 @@ import pytest
 
 import fleetgen
 import qprobe.circuit
-import qprobe.devicesim
+import qprobe.estimator
 from qprobe import (
     AttackConfig,
     CatalogEntry,
@@ -139,7 +139,8 @@ def count_build_walk_and_fit_calls(monkeypatch) -> Counter:
 
     count(TranspiledCircuit, "__post_init__")
     count(qprobe.circuit, "_walk")
-    count(qprobe.devicesim, "topology_compatible")
+    # the estimator owns the fit check; the simulator calls it there too
+    count(qprobe.estimator, "topology_compatible")
     return calls
 
 
@@ -148,10 +149,11 @@ def test_a_job_walks_its_probe_once_and_checks_topology_once(monkeypatch):
     cloud = corner_cloud()
     circuit = compose_probe([("11", (0, 1, 3))], fleetgen.t5())
     estimate_fingerprint(circuit, cloud.get_profile("alpine"))
+    assert calls["topology_compatible"] == 1
     cloud.submit("alpine", circuit, shots=100, rounds=3, seed=0)
+    assert calls["topology_compatible"] == 2
     assert calls["__post_init__"] == 1
     assert calls["_walk"] == 1
-    assert calls["topology_compatible"] == 1
 
 
 def test_a_composite_probe_is_built_and_walked_once(monkeypatch):
@@ -161,10 +163,11 @@ def test_a_composite_probe_is_built_and_walked_once(monkeypatch):
     cloud.register(CatalogEntry(line.device_id, line, NoiseSpec(line)))
     circuit = compose_probe(fleetgen.DRIFT_PROBES[4][:2], line.topology)
     estimate_fingerprint(circuit, line)
+    assert calls["topology_compatible"] == 1
     cloud.submit(line.device_id, circuit, shots=100, rounds=3, seed=0)
+    assert calls["topology_compatible"] == 2
     assert calls["__post_init__"] == 1
     assert calls["_walk"] == 1
-    assert calls["topology_compatible"] == 1
 
 
 def test_fabrication_doctors_only_the_advertised_profile():

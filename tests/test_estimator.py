@@ -1,12 +1,21 @@
-"""Survival estimation against hand-computed products and walk bookkeeping."""
+"""Survival estimation against hand-computed products and walk bookkeeping.
+
+``per_event_fold`` is a fixed oracle: it walks ``walk_ops`` one flip event at
+a time and multiplies every tracked qubit's factors in walk order.  The
+estimate and the exact parity survival must equal it bit for bit, so any
+change to the order of the products shows here before it moves a report.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import fleetgen
-from qprobe import DeviceProfile, Topology, estimate_fingerprint, fabricate
-from qprobe.circuit import Gate, TranspiledCircuit, TranspiledOp, build_bv, compose_probe, transpile
+from qprobe import (DeviceProfile, NoiseSpec, Topology, estimate_fingerprint, exact_survival,
+                    fabricate)
+from qprobe.circuit import (Gate, TranspiledCircuit, TranspiledOp, build_bv, compose_probe,
+                            transpile, walk_ops)
 from qprobe.estimator import Fingerprint, trace_survival
 
 
@@ -100,3 +109,39 @@ def test_fingerprint_validation_and_access():
         Fingerprint((1.5,))
     with pytest.raises(ValueError, match="outside"):
         Fingerprint((-0.1,))
+
+
+def per_event_fold(circuit: TranspiledCircuit, factor) -> tuple[float, ...]:
+    """Oracle: per tracked qubit, the product of factor(event) in walk order."""
+    product = {q: 1.0 for q in circuit.initial_mapping}
+    for step in walk_ops(circuit):
+        for ev in step.events:
+            product[ev.logical] *= factor(ev)
+    return tuple(product[q] for q in circuit.measured)
+
+
+def fold_cases():
+    rng = np.random.default_rng(7)
+    cases = [fleetgen.random_fixture(rng) for _ in range(20)]
+    line = fleetgen.drift_profiles()[0]
+    composite = compose_probe([("11", (9, 11, 10)), ("11", (49, 51, 50)),
+                               ("11", (89, 91, 90))], line.topology)
+    return cases + [(composite, NoiseSpec(line, hidden_rate=5e-4))]
+
+
+@pytest.mark.parametrize("circuit, noise", fold_cases())
+def test_estimate_and_oracle_equal_the_per_event_fold_bit_for_bit(circuit, noise):
+    profile, hidden = noise.true_profile, noise.hidden_rate
+    estimate = per_event_fold(circuit, lambda ev: 1.0 - profile.rate_for(ev.error_key))
+    parity = per_event_fold(
+        circuit, lambda ev: 1.0 - 2.0 * (profile.rate_for(ev.error_key) + hidden))
+    assert estimate_fingerprint(circuit, profile).survivals == estimate
+    assert exact_survival(circuit, noise).survivals == tuple((1.0 + x) / 2.0 for x in parity)
+
+
+@pytest.mark.parametrize("circuit, noise", fold_cases())
+def test_flips_are_the_measured_events_of_the_walk(circuit, noise):
+    bit_of = {q: i for i, q in enumerate(circuit.measured)}
+    assert circuit.flips == tuple(
+        ((ev.op_index, ev.sub, ev.register), bit_of[ev.logical], ev.error_key)
+        for step in walk_ops(circuit) for ev in step.events if ev.logical in bit_of)
