@@ -54,8 +54,11 @@ def stream_keys(seed: int, sites) -> np.ndarray:
     """Stream key of each flip opportunity; the per-shot counter salts it later.
 
     ``sites`` is an (n, 3) integer array of (op index, sub-op, register).
-    uint64 arithmetic wraps like the masked integer steps it stands for.
+    ``seed`` lies in [-2**63, 2**64), a negative one keying the streams of its
+    two's complement.  uint64 arithmetic wraps like the masked integer steps.
     """
+    if not -(1 << 63) <= seed <= _MASK:
+        raise ValueError(f"seed {seed} outside the 64-bit range [-2**63, 2**64)")
     sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3).astype(np.uint64)
     gamma = np.uint64(_GAMMA)
     h = _mix64_np(np.full(len(sites), (seed & _MASK) ^ _GAMMA, dtype=np.uint64))

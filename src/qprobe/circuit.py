@@ -103,26 +103,26 @@ class LogicalCircuit:
 
 @dataclass(frozen=True)
 class TranspiledOp:
-    """One hardware op: gate, physical registers and its error lookup key."""
+    """One hardware op: gate, physical registers and its computed error key.
+
+    The key is ("cnot", sorted register pair) for a CNOT or SWAP, ("meas", r)
+    for a MEASURE and ("single", r) for any other gate.
+    """
 
     gate: Gate
     registers: tuple[int, ...]
-    error_key: tuple
+    error_key: tuple = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.registers) != self.gate.n_registers:
             raise CircuitError(f"{self.gate.value} takes {self.gate.n_registers} registers")
         if len(set(self.registers)) != len(self.registers):
             raise CircuitError("repeated register operand")
-
-
-def _single_op(gate: Gate, register: int) -> TranspiledOp:
-    kind = "meas" if gate is Gate.MEASURE else "single"
-    return TranspiledOp(gate, (register,), (kind, register))
-
-
-def _pair_op(gate: Gate, a: int, b: int) -> TranspiledOp:
-    return TranspiledOp(gate, (a, b), ("cnot", (min(a, b), max(a, b))))
+        if self.gate.n_registers == 2:
+            key = ("cnot", tuple(sorted(self.registers)))
+        else:
+            key = ("meas" if self.gate is Gate.MEASURE else "single", self.registers[0])
+        object.__setattr__(self, "error_key", key)
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,18 @@ class WalkStep:
     locations: dict[int, int]
 
 
+def _swap(loc: dict[int, int], owner: dict[int, int], a: int, b: int) -> tuple:
+    """SWAP registers a and b in both placement maps; return their old qubits."""
+    qa, qb = owner.pop(a, None), owner.pop(b, None)
+    if qa is not None:
+        loc[qa] = b
+        owner[b] = qa
+    if qb is not None:
+        loc[qb] = a
+        owner[a] = qb
+    return qa, qb
+
+
 def _walk(ops: Sequence[TranspiledOp], initial_mapping: dict[int, int]) -> Iterator[WalkStep]:
     loc = dict(initial_mapping)
     owner = {p: q for q, p in loc.items()}
@@ -163,20 +175,12 @@ def _walk(ops: Sequence[TranspiledOp], initial_mapping: dict[int, int]) -> Itera
         events: list[FlipEvent] = []
         if op.gate is Gate.SWAP:
             a, b = op.registers
-            qa, qb = owner.get(a), owner.get(b)
+            qa, qb = _swap(loc, owner, a, b)
             for sub in range(3):
                 if qa is not None:
                     events.append(FlipEvent(idx, sub, qa, a, op.error_key))
                 if qb is not None:
                     events.append(FlipEvent(idx, sub, qb, b, op.error_key))
-            owner.pop(a, None)
-            owner.pop(b, None)
-            if qa is not None:
-                loc[qa] = b
-                owner[b] = qa
-            if qb is not None:
-                loc[qb] = a
-                owner[a] = qb
         else:
             for r in op.registers:
                 q = owner.get(r)
@@ -193,21 +197,22 @@ def _walk(ops: Sequence[TranspiledOp], initial_mapping: dict[int, int]) -> Itera
 class TranspiledCircuit:
     """Hardware-level circuit plus the logical bookkeeping around it.
 
-    ``initial_mapping``/``final_mapping`` map logical qubit to physical
-    register before and after all routing SWAPs; ``measured`` lists logical
-    qubits in fingerprint order.  The constructor replays the ops to confirm
-    the final mapping and that each measured qubit is measured exactly once,
-    by the last op touching its register, and keeps that replay in ``steps``.
-    ``flips`` holds its measured-qubit events in walk order, one row
+    ``initial_mapping`` maps logical qubit to physical register before any
+    op; ``measured`` lists logical qubits in fingerprint order.  The
+    constructor replays the ops once, checks that each measured qubit is
+    measured exactly once, by the last op touching its register, and keeps
+    that replay in ``steps``.  ``final_mapping``, each logical qubit's
+    register after all routing SWAPs, is read off the replay.  ``flips``
+    holds its measured-qubit events in walk order, one row
     ((op index, sub-op, register), fingerprint index, error key) each.
     """
 
     num_qubits: int
     ops: tuple[TranspiledOp, ...]
     initial_mapping: dict[int, int]
-    final_mapping: dict[int, int]
     measured: tuple[int, ...]
     ideal_output: str
+    final_mapping: dict[int, int] = field(init=False, compare=False)
     steps: tuple[WalkStep, ...] = field(init=False, compare=False, repr=False)
     flips: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
 
@@ -220,17 +225,16 @@ class TranspiledCircuit:
                 if not (0 <= r < self.num_qubits):
                     raise CircuitError(f"register {r} out of range")
         steps = tuple(_walk(self.ops, self.initial_mapping))
-        loc = steps[-1].locations if steps else self.initial_mapping
         seen_measures = [ev.logical for step in steps if step.op.gate is Gate.MEASURE
                          for ev in step.events]
-        if loc != self.final_mapping:
-            raise CircuitError("final mapping does not match replayed SWAPs")
         if sorted(seen_measures) != sorted(self.measured):
             raise CircuitError("MEASURE ops do not cover the measured qubit list")
         if len(self.ideal_output) != len(self.measured):
             raise CircuitError("ideal_output length must equal number of measured qubits")
         if any(c not in "01" for c in self.ideal_output):
             raise CircuitError("ideal_output must be a bitstring")
+        object.__setattr__(self, "final_mapping",
+                           dict(steps[-1].locations if steps else self.initial_mapping))
         object.__setattr__(self, "steps", steps)
         bit_of = {q: i for i, q in enumerate(self.measured)}
         object.__setattr__(self, "flips", tuple(
@@ -297,8 +301,8 @@ def _route_path(topology: Topology, start: int, goal: int, blocked: set[int]) ->
 
 def _route(circuit: LogicalCircuit, topology: Topology,
            initial_mapping: Sequence[int] | Mapping[int, int]
-           ) -> tuple[tuple[TranspiledOp, ...], dict[int, int], dict[int, int]]:
-    """Checked mapping and routing of `transpile`: (ops, initial map, final map)."""
+           ) -> tuple[tuple[TranspiledOp, ...], dict[int, int]]:
+    """Checked mapping and routing of one part: (ops, initial map)."""
     if isinstance(initial_mapping, Mapping):
         try:
             initial_mapping = [initial_mapping[q] for q in range(len(initial_mapping))]
@@ -312,27 +316,15 @@ def _route(circuit: LogicalCircuit, topology: Topology,
         if not (0 <= p < topology.num_qubits):
             raise CircuitError(f"mapping register {p} out of range")
 
-    l2p = {q: p for q, p in enumerate(initial_mapping)}
+    l2p = dict(enumerate(initial_mapping))
     p2l = {p: q for q, p in l2p.items()}
     frozen: set[int] = set()
     out: list[TranspiledOp] = []
 
-    def do_swap(a: int, b: int) -> None:
-        out.append(_pair_op(Gate.SWAP, a, b))
-        qa, qb = p2l.get(a), p2l.get(b)
-        p2l.pop(a, None)
-        p2l.pop(b, None)
-        if qa is not None:
-            l2p[qa] = b
-            p2l[b] = qa
-        if qb is not None:
-            l2p[qb] = a
-            p2l[a] = qb
-
     for gate, qubits in circuit.ops:
         if gate.n_registers == 1:
             p = l2p[qubits[0]]
-            out.append(_single_op(gate, p))
+            out.append(TranspiledOp(gate, (p,)))
             if gate is Gate.MEASURE:
                 frozen.add(p)
             continue
@@ -340,10 +332,43 @@ def _route(circuit: LogicalCircuit, topology: Topology,
         if not topology.adjacent(pa, pb):
             path = _route_path(topology, pa, pb, frozen)
             for nxt in path[1:-1]:
-                do_swap(pa, nxt)
+                out.append(TranspiledOp(Gate.SWAP, (pa, nxt)))
+                _swap(l2p, p2l, pa, nxt)
                 pa = nxt
-        out.append(_pair_op(gate, pa, pb))
-    return tuple(out), dict(enumerate(initial_mapping)), l2p
+        out.append(TranspiledOp(gate, (pa, pb)))
+    return tuple(out), dict(enumerate(initial_mapping))
+
+
+def _assemble(parts: Sequence[tuple[LogicalCircuit, Sequence[int] | Mapping[int, int]]],
+              topology: Topology) -> TranspiledCircuit:
+    """Route each (circuit, mapping) part, at graph distance >= 2 from each
+    other, and build one circuit; part 0 holds the rightmost output bits."""
+    routed = [_route(circ, topology, mapping) for circ, mapping in parts]
+    used = [set(initial.values()).union(*(op.registers for op in ops))
+            for ops, initial in routed]
+    for i in range(len(used)):
+        for j in range(i + 1, len(used)):
+            gap = topology.set_distance(used[i], used[j])
+            if gap is not None and gap < 2:
+                raise CircuitError(
+                    f"subprobes {i} and {j} are at graph distance {gap}; need >= 2")
+
+    ops: list[TranspiledOp] = []
+    initial: dict[int, int] = {}
+    measured: list[int] = []
+    offset = 0
+    for (circ, _), (part_ops, part_initial) in zip(parts, routed):
+        ops.extend(part_ops)
+        initial.update((q + offset, p) for q, p in part_initial.items())
+        measured.extend(q + offset for q in circ.measured)
+        offset += circ.num_qubits
+    return TranspiledCircuit(
+        num_qubits=topology.num_qubits,
+        ops=tuple(ops),
+        initial_mapping=initial,
+        measured=tuple(measured),
+        ideal_output="".join(circ.ideal_output for circ, _ in reversed(parts)),
+    )
 
 
 def transpile(circuit: LogicalCircuit, topology: Topology,
@@ -357,15 +382,7 @@ def transpile(circuit: LogicalCircuit, topology: Topology,
     afterwards.  Registers holding already-measured qubits are never routed
     through.
     """
-    ops, initial, final = _route(circuit, topology, initial_mapping)
-    return TranspiledCircuit(
-        num_qubits=topology.num_qubits,
-        ops=ops,
-        initial_mapping=initial,
-        final_mapping=final,
-        measured=circuit.measured,
-        ideal_output=circuit.ideal_output,
-    )
+    return _assemble([(circuit, initial_mapping)], topology)
 
 
 def compose_probe(subprobes: Sequence[tuple[str, Sequence[int]]],
@@ -374,40 +391,11 @@ def compose_probe(subprobes: Sequence[tuple[str, Sequence[int]]],
 
     Each subprobe is a (secret, initial_mapping) pair.  Regions must be
     pairwise at graph distance >= 2 so the subprobes cannot interact even
-    through a shared coupler.  A single subprobe composes to exactly its own
+    through a shared coupler.  Subprobes are transpiled by the same routine
+    as `transpile`, so a single subprobe composes to exactly its own
     transpilation.  The parts are only routed; the probe is built, and so
     walked, once as a whole.
     """
     if not subprobes:
         raise CircuitError("compose_probe needs at least one subprobe")
-    logical = [build_bv(secret) for secret, _ in subprobes]
-    routed = [_route(circ, topology, mapping)
-              for circ, (_, mapping) in zip(logical, subprobes)]
-    used = [set(initial.values()).union(*(op.registers for op in ops))
-            for ops, initial, _ in routed]
-    for i in range(len(used)):
-        for j in range(i + 1, len(used)):
-            gap = topology.set_distance(used[i], used[j])
-            if gap is not None and gap < 2:
-                raise CircuitError(
-                    f"subprobes {i} and {j} are at graph distance {gap}; need >= 2")
-
-    ops: list[TranspiledOp] = []
-    initial: dict[int, int] = {}
-    final: dict[int, int] = {}
-    measured: list[int] = []
-    offset = 0
-    for circ, (part_ops, part_initial, part_final) in zip(logical, routed):
-        ops.extend(part_ops)
-        initial.update((q + offset, p) for q, p in part_initial.items())
-        final.update((q + offset, p) for q, p in part_final.items())
-        measured.extend(q + offset for q in circ.measured)
-        offset += circ.num_qubits
-    return TranspiledCircuit(
-        num_qubits=topology.num_qubits,
-        ops=tuple(ops),
-        initial_mapping=initial,
-        final_mapping=final,
-        measured=tuple(measured),
-        ideal_output="".join(secret for secret, _ in reversed(subprobes)),
-    )
+    return _assemble([(build_bv(secret), mapping) for secret, mapping in subprobes], topology)

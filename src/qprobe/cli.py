@@ -103,6 +103,10 @@ def parse_probe_args(probes: tuple[str, ...], mappings: tuple[str, ...]) -> list
             if len(group) != len(secret) + 1:
                 raise CommandError(
                     f"secret {secret!r} needs {len(secret) + 1} mapped qubits, got {len(group)}")
+        placed = [r for group in groups for r in group]
+        twice = next((r for i, r in enumerate(placed) if r in placed[:i]), None)
+        if twice is not None:
+            raise CommandError(f"mapping {mapping!r} places register {twice} twice")
         specs.append(ProbeSpec(tuple(zip(secrets, groups))))
     return specs
 

@@ -79,8 +79,18 @@ class Topology:
 
     def distances_from(self, start: int, blocked: frozenset[int] | set[int] = frozenset()) -> dict[int, int]:
         """BFS hop counts from ``start``, never entering ``blocked`` registers."""
-        dist = {start: 0}
-        frontier = [start]
+        return self._bfs({start}, blocked)
+
+    def set_distance(self, group_a: Iterable[int], group_b: Iterable[int]) -> int | None:
+        """Minimum hop count between two qubit groups, or None if disconnected."""
+        dist = self._bfs(set(group_a))
+        return min((dist[t] for t in set(group_b) if t in dist), default=None)
+
+    def _bfs(self, sources: set[int], blocked: frozenset[int] | set[int] = frozenset()
+             ) -> dict[int, int]:
+        """Hop count from the nearest of ``sources``, never entering ``blocked``."""
+        dist = dict.fromkeys(sources, 0)
+        frontier = list(sources)
         while frontier:
             nxt = []
             for u in frontier:
@@ -90,17 +100,6 @@ class Topology:
                         nxt.append(v)
             frontier = nxt
         return dist
-
-    def set_distance(self, group_a: Iterable[int], group_b: Iterable[int]) -> int | None:
-        """Minimum hop count between two qubit groups, or None if disconnected."""
-        targets = set(group_b)
-        best: int | None = None
-        for a in set(group_a):
-            dist = self.distances_from(a)
-            for t in targets:
-                if t in dist and (best is None or dist[t] < best):
-                    best = dist[t]
-        return best
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ exactly, since both read the same rows of it, ``circuit.flips``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -56,10 +56,13 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class Counts:
-    """Measurement outcome histogram; keys follow the rightmost-is-qubit-0 rule."""
+    """Measurement outcome histogram; keys follow the rightmost-is-qubit-0 rule.
+
+    ``shots`` is computed: the sum of the counts.
+    """
 
     counts: Mapping[str, int]
-    shots: int
+    shots: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         widths = {len(k) for k in self.counts}
@@ -67,9 +70,8 @@ class Counts:
             raise ValueError("outcome strings differ in width")
         if any(c < 0 for c in self.counts.values()):
             raise ValueError("negative count")
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts do not sum to shots")
         object.__setattr__(self, "counts", dict(self.counts))
+        object.__setattr__(self, "shots", sum(self.counts.values()))
 
     def probabilities(self) -> dict[str, float]:
         return {k: v / self.shots for k, v in self.counts.items()}
@@ -120,7 +122,7 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
     values, ns = np.unique(packed, return_counts=True)
     pooled = {format(v, f"0{width}b") if width else "": n
               for v, n in zip(values.tolist(), ns.tolist())}
-    return Counts(counts=pooled, shots=shots * rounds)
+    return Counts(pooled)
 
 
 def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:
@@ -140,7 +142,7 @@ def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:
 
 def survival_from_counts(counts: Counts, ideal_output: str) -> Fingerprint:
     """Per-qubit marginal survival: fraction of shots whose bit i came out ideal."""
-    if not counts.counts:
+    if not counts.shots:
         raise ValueError("empty counts")
     width = len(next(iter(counts.counts)))
     if width != len(ideal_output):

@@ -43,13 +43,13 @@ def test_c01_single_qubit_survival_chain(acceptance_log):
     # one tracked qubit through a single-qubit gate, a SWAP, a CNOT, another
     # single-qubit gate and readout, with hand-checkable rates
     ops = (
-        TranspiledOp(Gate.H, (0,), ("single", 0)),
-        TranspiledOp(Gate.SWAP, (0, 1), ("cnot", (0, 1))),
-        TranspiledOp(Gate.CNOT, (1, 2), ("cnot", (1, 2))),
-        TranspiledOp(Gate.H, (1,), ("single", 1)),
-        TranspiledOp(Gate.MEASURE, (1,), ("meas", 1)),
+        TranspiledOp(Gate.H, (0,)),
+        TranspiledOp(Gate.SWAP, (0, 1)),
+        TranspiledOp(Gate.CNOT, (1, 2)),
+        TranspiledOp(Gate.H, (1,)),
+        TranspiledOp(Gate.MEASURE, (1,)),
     )
-    circuit = TranspiledCircuit(3, ops, {0: 0}, {0: 1}, (0,), "0")
+    circuit = TranspiledCircuit(3, ops, {0: 0}, (0,), "0")
     profile = DeviceProfile(
         device_id="chain",
         topology=Topology(3, [(0, 1), (1, 2)]),
@@ -73,7 +73,7 @@ def test_c01_single_qubit_survival_chain(acceptance_log):
 
 
 def test_c02_marginal_survival_extraction(acceptance_log):
-    counts = Counts({"11": 7200, "01": 800, "10": 1800, "00": 200}, shots=10000)
+    counts = Counts({"11": 7200, "01": 800, "10": 1800, "00": 200})
     s = survival_from_counts(counts, "11")
     ok = s.survivals == (0.8, 0.9)
     acceptance_log(2, ok, f"marginals {s.survivals} == (0.8, 0.9) exactly")

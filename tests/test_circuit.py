@@ -175,21 +175,39 @@ def test_walk_swap_emits_three_events_and_exchanges_locations():
 
 def test_walk_rejects_ops_on_measured_registers():
     ops = (
-        TranspiledOp(Gate.MEASURE, (0,), ("meas", 0)),
-        TranspiledOp(Gate.H, (0,), ("single", 0)),
+        TranspiledOp(Gate.MEASURE, (0,)),
+        TranspiledOp(Gate.H, (0,)),
     )
     with pytest.raises(CircuitError, match="already-measured"):
-        TranspiledCircuit(1, ops, {0: 0}, {0: 0}, (0,), "0")
+        TranspiledCircuit(1, ops, {0: 0}, (0,), "0")
 
 
 def test_transpiled_circuit_checks_final_mapping_and_measures():
+    # the final mapping is derived from the op replay, never passed in
     base = transpile(build_bv("1"), line(3), [0, 2])
-    with pytest.raises(CircuitError, match="final mapping"):
-        TranspiledCircuit(3, base.ops, base.initial_mapping,
-                          dict(base.initial_mapping), base.measured, "1")
+    assert base.initial_mapping == {0: 0, 1: 2}
+    assert base.final_mapping == {0: 1, 1: 2}  # the one SWAP moved the input
+    rebuilt = TranspiledCircuit(3, base.ops, base.initial_mapping, base.measured, "1")
+    assert rebuilt == base and rebuilt.final_mapping == base.final_mapping
     with pytest.raises(CircuitError, match="MEASURE ops do not cover"):
-        TranspiledCircuit(3, base.ops[:-1], base.initial_mapping,
-                          base.final_mapping, base.measured, "1")
+        TranspiledCircuit(3, base.ops[:-1], base.initial_mapping, base.measured, "1")
+
+
+@pytest.mark.parametrize("gate", list(Gate))
+@pytest.mark.parametrize("registers", [(1, 2), (2, 1)])
+def test_op_derives_its_error_key(gate, registers):
+    if gate.n_registers == 2:
+        expected = ("cnot", (1, 2))
+    else:
+        registers = registers[:1]
+        expected = ("meas" if gate is Gate.MEASURE else "single", registers[0])
+    assert TranspiledOp(gate, registers).error_key == expected
+
+
+def test_op_error_key_cannot_be_passed_in():
+    # a CNOT on 0-1 can no longer be priced as edge 1-3
+    with pytest.raises(TypeError):
+        TranspiledOp(Gate.CNOT, (0, 1), ("cnot", (1, 3)))
 
 
 def test_compose_probe_concatenates_measured_qubits():
@@ -209,8 +227,16 @@ def test_compose_probe_requires_separated_regions():
         compose_probe([], line(6))
 
 
-def test_compose_probe_single_part_matches_plain_transpile():
-    plain = transpile(build_bv("101"), line(6), [0, 1, 2, 3])
-    composed = compose_probe([("101", (0, 1, 2, 3))], line(6))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_compose_probe_single_part_matches_plain_transpile(data):
+    n = data.draw(st.integers(min_value=2, max_value=7), label="line length")
+    k = data.draw(st.integers(min_value=1, max_value=n - 1), label="secret bits")
+    secret = data.draw(st.text(alphabet="01", min_size=k, max_size=k), label="secret")
+    mapping = tuple(data.draw(st.permutations(range(n)), label="mapping")[: k + 1])
+    plain = transpile(build_bv(secret), line(n), mapping)
+    composed = compose_probe([(secret, mapping)], line(n))
     assert composed == plain
-
+    assert composed.final_mapping == plain.final_mapping
+    assert [op.error_key for op in composed.ops] == [op.error_key for op in plain.ops]
+    assert composed.flips == plain.flips

@@ -53,6 +53,11 @@ def test_parse_composite_probe():
       for mapping in ("0,,1,3", "0,1,3,", ",0,1,3", " 0,1,3", "0,1,+3", "0,01,3", "")],
     (("bv:11+bv:1",), ("0,1,2;",), "mapping group '' must be"),
     (("bv:11+bv:1",), ("0,1,2;5,-6",), "mapping group '5,-6' must be"),
+    # a register placed twice is an input error, reported once and not per device
+    pytest.param(("bv:11",), ("0,0,3",), "mapping '0,0,3' places register 0 twice",
+                 id="repeated register"),
+    pytest.param(("bv:1+bv:1",), ("0,1;1,2",), "mapping '0,1;1,2' places register 1 twice",
+                 id="register shared by two subprobes"),
 ])
 def test_parse_probe_rejections(probes, mappings, message):
     with pytest.raises(CommandError, match=message):
@@ -179,6 +184,31 @@ def test_configuration_mistakes_exit_one(corner_fleet, argv_tail, capsys):
     code = main(["identify", "--fleet", str(corner_fleet), *argv_tail])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv_tail", [
+    ["--probe", "bv:11", "--mapping", "0,0,3"],
+    ["--probe", "bv:1+bv:1", "--mapping", "0,1;1,2"],
+])
+def test_repeated_register_is_reported_once(corner_fleet, argv_tail, capsys):
+    code = main(["identify", "--fleet", str(corner_fleet), *argv_tail])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "twice" in err
+    assert not any(device_id in err for device_id in ("alpine", "boreal", "cascade", "dune"))
+
+
+@pytest.mark.parametrize("seed", [str(2**64), str(-2**63 - 1)])
+def test_seed_outside_64_bits_exits_one(corner_fleet, tmp_path, seed, capsys):
+    out = tmp_path / "report"
+    code = main(["detect-sub", "--fleet", str(corner_fleet), *CORNER_PROBE,
+                 "--victim", "alpine", "--actual", "alpine", "--shots", "50",
+                 "--seed", seed, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "outside the 64-bit range" in captured.err
+    assert "honest" not in captured.out and "fraudulent" not in captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

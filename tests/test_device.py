@@ -73,6 +73,19 @@ def test_set_distance():
     assert topo.set_distance({0}, {5}) is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_set_distance_is_the_nearest_pairwise_distance(data):
+    n = data.draw(st.integers(min_value=1, max_value=9), label="qubits")
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    topo = Topology(n, data.draw(st.lists(pairs, max_size=12), label="edges"))
+    group = st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
+    group_a, group_b = data.draw(group, label="group a"), data.draw(group, label="group b")
+    pairwise = [topo.distances_from(a).get(b) for a in group_a for b in group_b]
+    reachable = [d for d in pairwise if d is not None]
+    assert topo.set_distance(group_a, group_b) == (min(reachable) if reachable else None)
+
+
 # --- DeviceProfile -----------------------------------------------------------
 
 

@@ -44,8 +44,8 @@ from qprobe.devicesim import _schedule
 
 
 def single_qubit_circuit() -> TranspiledCircuit:
-    ops = (TranspiledOp(Gate.MEASURE, (0,), ("meas", 0)),)
-    return TranspiledCircuit(1, ops, {0: 0}, {0: 0}, (0,), "0")
+    ops = (TranspiledOp(Gate.MEASURE, (0,)),)
+    return TranspiledCircuit(1, ops, {0: 0}, (0,), "0")
 
 
 def single_qubit_profile(meas: float) -> DeviceProfile:
@@ -69,6 +69,15 @@ def test_stream_keys_are_frozen():
     assert stream_keys(2**64 - 1, [(3, 2, 5), (0, 0, 0)]).tolist() == \
         [0xD79CB2ACCA3824B9, stream_keys(-1, [(0, 0, 0)])[0]]
 
+
+
+def test_stream_keys_accept_exactly_the_64_bit_seeds():
+    site = [(0, 0, 0)]
+    for seed in (-2**63, 2**64 - 1):
+        assert stream_keys(seed, site).dtype == np.uint64
+    for seed in (-2**63 - 1, 2**64):
+        with pytest.raises(ValueError, match="outside the 64-bit range"):
+            stream_keys(seed, site)
 
 def test_noiseless_execution_returns_the_ideal_output():
     circ = transpile(build_bv("101"), fleetgen.t5(), [0, 1, 2, 3])
@@ -96,10 +105,10 @@ def test_half_rate_flip_is_a_coin_toss():
 def test_oracle_closed_form_for_two_opportunities():
     # H then MEASURE on one qubit: survival is (1 + (1-2p)(1-2q)) / 2
     ops = (
-        TranspiledOp(Gate.H, (0,), ("single", 0)),
-        TranspiledOp(Gate.MEASURE, (0,), ("meas", 0)),
+        TranspiledOp(Gate.H, (0,)),
+        TranspiledOp(Gate.MEASURE, (0,)),
     )
-    circ = TranspiledCircuit(1, ops, {0: 0}, {0: 0}, (0,), "0")
+    circ = TranspiledCircuit(1, ops, {0: 0}, (0,), "0")
     prof = DeviceProfile(
         device_id="two",
         topology=Topology(1, []),
@@ -267,23 +276,25 @@ def test_compiled_flip_threshold_is_strict_at_the_53_bit_boundary(flipcore_c):
 
 
 def test_survival_marginals_from_counts():
-    counts = Counts({"11": 7200, "01": 800, "10": 1800, "00": 200}, shots=10000)
+    counts = Counts({"11": 7200, "01": 800, "10": 1800, "00": 200})
     s = survival_from_counts(counts, "11")
     assert s.survivals == (0.8, 0.9)
     with pytest.raises(ValueError, match="width"):
         survival_from_counts(counts, "1")
     with pytest.raises(ValueError, match="empty"):
-        survival_from_counts(Counts({}, shots=0), "1")
+        survival_from_counts(Counts({}), "1")
+    with pytest.raises(ValueError, match="empty"):
+        survival_from_counts(Counts({"1": 0}), "1")
 
 
 def test_counts_validation():
     with pytest.raises(ValueError, match="width"):
-        Counts({"00": 1, "1": 2}, shots=3)
+        Counts({"00": 1, "1": 2})
     with pytest.raises(ValueError, match="negative"):
-        Counts({"0": -1, "1": 4}, shots=3)
-    with pytest.raises(ValueError, match="sum"):
-        Counts({"0": 1}, shots=2)
-    assert Counts({"0": 1, "1": 3}, shots=4).probabilities() == {"0": 0.25, "1": 0.75}
+        Counts({"0": -1, "1": 4})
+    assert Counts({"0": 1, "1": 3}).shots == 4
+    assert Counts({}).shots == 0
+    assert Counts({"0": 1, "1": 3}).probabilities() == {"0": 0.25, "1": 0.75}
 
 
 def test_execute_argument_checks():
@@ -312,9 +323,9 @@ def test_hidden_rate_bounds_and_saturation():
 def test_wide_probes_are_rejected():
     n = 65
     topo = Topology(n, [])
-    ops = tuple(TranspiledOp(Gate.MEASURE, (q,), ("meas", q)) for q in range(n))
+    ops = tuple(TranspiledOp(Gate.MEASURE, (q,)) for q in range(n))
     ident = {q: q for q in range(n)}
-    circ = TranspiledCircuit(n, ops, ident, ident, tuple(range(n)), "0" * n)
+    circ = TranspiledCircuit(n, ops, ident, tuple(range(n)), "0" * n)
     prof = DeviceProfile(
         device_id="wide",
         topology=topo,

@@ -22,13 +22,13 @@ from qprobe.estimator import Fingerprint, trace_survival
 def chain_circuit() -> TranspiledCircuit:
     """One tracked qubit through H, SWAP, CNOT, H, MEASURE on a 3-register line."""
     ops = (
-        TranspiledOp(Gate.H, (0,), ("single", 0)),
-        TranspiledOp(Gate.SWAP, (0, 1), ("cnot", (0, 1))),
-        TranspiledOp(Gate.CNOT, (1, 2), ("cnot", (1, 2))),
-        TranspiledOp(Gate.H, (1,), ("single", 1)),
-        TranspiledOp(Gate.MEASURE, (1,), ("meas", 1)),
+        TranspiledOp(Gate.H, (0,)),
+        TranspiledOp(Gate.SWAP, (0, 1)),
+        TranspiledOp(Gate.CNOT, (1, 2)),
+        TranspiledOp(Gate.H, (1,)),
+        TranspiledOp(Gate.MEASURE, (1,)),
     )
-    return TranspiledCircuit(3, ops, {0: 0}, {0: 1}, (0,), "0")
+    return TranspiledCircuit(3, ops, {0: 0}, (0,), "0")
 
 
 def chain_profile() -> DeviceProfile:
