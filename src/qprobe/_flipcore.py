@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream_keys", "flip_thresholds", "sample_packed_numpy", "compiled_sampler",
-           "active_kernel", "get_sampler"]
+__all__ = ["offset_seed", "stream_keys", "flip_thresholds", "sample_packed_numpy",
+           "compiled_sampler", "active_kernel", "get_sampler"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -50,15 +50,27 @@ def _mix64_np(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def offset_seed(seed: int, offset: int) -> int:
+    """The seed ``offset`` >= 0 steps after ``seed``, for a round or report row.
+
+    ``seed`` must lie in [-2**63, 2**64), else a ValueError names it.  A sum
+    past 2**64 - 1 wraps modulo 2**64, as -1 already keys the streams of
+    2**64 - 1; any other sum is kept as it is.
+    """
+    if not -(1 << 63) <= seed <= _MASK:
+        raise ValueError(f"seed {seed} outside the 64-bit range [-2**63, 2**64)")
+    return seed + offset if seed + offset <= _MASK else (seed + offset) & _MASK
+
+
 def stream_keys(seed: int, sites) -> np.ndarray:
     """Stream key of each flip opportunity; the per-shot counter salts it later.
 
     ``sites`` is an (n, 3) integer array of (op index, sub-op, register).
-    ``seed`` lies in [-2**63, 2**64), a negative one keying the streams of its
-    two's complement.  uint64 arithmetic wraps like the masked integer steps.
+    ``seed`` lies in [-2**63, 2**64) (see ``offset_seed``), a negative one
+    keying the streams of its two's complement.  uint64 arithmetic wraps like
+    the masked integer steps.
     """
-    if not -(1 << 63) <= seed <= _MASK:
-        raise ValueError(f"seed {seed} outside the 64-bit range [-2**63, 2**64)")
+    seed = offset_seed(seed, 0)
     sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3).astype(np.uint64)
     gamma = np.uint64(_GAMMA)
     h = _mix64_np(np.full(len(sites), (seed & _MASK) ^ _GAMMA, dtype=np.uint64))

@@ -5,9 +5,9 @@ character of a rendered outcome string, matching the usual little-endian
 rendering of counts dictionaries.
 
 The op walk (`walk_ops`) is the single source of truth for which error
-opportunities touch which qubit.  A circuit is walked once, when it is built;
-the survival estimator, the analytic survival oracle and the Monte-Carlo
-executor all read that walk's measured-qubit rows, ``flips``, so they agree.
+opportunities touch which qubit.  A circuit is walked once, when it is built.
+The estimator, the parity oracle and the sampler all read its measured-qubit
+rows, ``flips``, so they agree; fit checks and prices read ``error_keys``.
 """
 
 from __future__ import annotations
@@ -201,10 +201,10 @@ class TranspiledCircuit:
     op; ``measured`` lists logical qubits in fingerprint order.  The
     constructor replays the ops once, checks that each measured qubit is
     measured exactly once, by the last op touching its register, and keeps
-    that replay in ``steps``.  ``final_mapping``, each logical qubit's
-    register after all routing SWAPs, is read off the replay.  ``flips``
-    holds its measured-qubit events in walk order, one row
-    ((op index, sub-op, register), fingerprint index, error key) each.
+    that replay in ``steps``.  Read off it are ``final_mapping`` (registers
+    after all routing SWAPs), ``error_keys`` (the ops' distinct keys, first
+    use first) and ``flips``, one row ((op index, sub-op, register),
+    fingerprint index, error key) per measured-qubit event, in walk order.
     """
 
     num_qubits: int
@@ -213,6 +213,7 @@ class TranspiledCircuit:
     measured: tuple[int, ...]
     ideal_output: str
     final_mapping: dict[int, int] = field(init=False, compare=False)
+    error_keys: tuple[tuple, ...] = field(init=False, compare=False)
     steps: tuple[WalkStep, ...] = field(init=False, compare=False, repr=False)
     flips: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
 
@@ -236,13 +237,12 @@ class TranspiledCircuit:
         object.__setattr__(self, "final_mapping",
                            dict(steps[-1].locations if steps else self.initial_mapping))
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "error_keys",
+                           tuple(dict.fromkeys(op.error_key for op in self.ops)))
         bit_of = {q: i for i, q in enumerate(self.measured)}
         object.__setattr__(self, "flips", tuple(
             ((ev.op_index, ev.sub, ev.register), bit_of[ev.logical], ev.error_key)
             for step in steps for ev in step.events if ev.logical in bit_of))
-
-    def ideal_bit(self, fingerprint_index: int) -> int:
-        return int(bit_at(self.ideal_output, fingerprint_index))
 
 
 def walk_ops(circuit: TranspiledCircuit) -> Iterator[WalkStep]:

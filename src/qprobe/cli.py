@@ -18,6 +18,7 @@ from pathlib import Path
 
 import click
 
+from ._flipcore import offset_seed
 from .circuit import CircuitError, TranspiledCircuit, compose_probe
 from .cloud import AttackConfig, QuantumCloud, load_fleet
 from .detector import DEFAULT_THRESHOLD, check_threshold, detect, manhattan_avg, match_device
@@ -146,6 +147,8 @@ def parse_strategy(text: str) -> dict:
             label, sep, value = piece.partition("=")
             if not sep:
                 raise CommandError(f"override {piece!r} must look like Label=rate")
+            if label in overrides:
+                raise CommandError(f"override label {label!r} given twice")
             try:
                 overrides[label] = float(value)
             except ValueError:
@@ -232,7 +235,7 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
     correct = 0
     ambiguous = []
     for i, device_id in enumerate(cloud.device_ids()):
-        row_seed = seed + i * rounds
+        row_seed = offset_seed(seed, i * rounds)
         try:
             job = cloud.submit(device_id, circuit, shots, rounds, row_seed)
         except TopologyError:
@@ -318,7 +321,7 @@ def run_detect_fabrication(cloud: QuantumCloud, device_id: str, strategy: dict,
         except TopologyError:
             raise CommandError(
                 f"probe {probe.label!r} does not fit device {device_id!r}") from None
-        combo_seed = seed + i * rounds
+        combo_seed = offset_seed(seed, i * rounds)
         job = cloud.submit(device_id, circuit, shots, rounds, combo_seed)
         observed = survival_from_counts(job.counts, circuit.ideal_output)
         verdict = detect(expected, observed, threshold)
@@ -352,7 +355,7 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
         circuit, _ = probe.build(cloud)
         expected = _fitting_estimates(cloud, circuit)
         for device_id in expected:
-            job_seed = seed + job_index * rounds
+            job_seed = offset_seed(seed, job_index * rounds)
             job_index += 1
             job = cloud.submit(device_id, circuit, shots, rounds, job_seed)
             observed = survival_from_counts(job.counts, circuit.ideal_output)

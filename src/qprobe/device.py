@@ -106,9 +106,10 @@ class Topology:
 class DeviceProfile:
     """Published calibration data for one device.
 
-    ``cnot_error`` is keyed by normalized edge and applies to the edge in both
-    directions; ``single_qubit_error`` and ``measurement_error`` carry exactly
-    one rate per qubit.  All rates live in [0, 1).
+    ``cnot_error`` applies to an edge in both directions; its keys are
+    normalized, and an edge keyed in both orientations is an error.
+    ``single_qubit_error`` and ``measurement_error`` carry exactly one rate
+    per qubit.  All rates live in [0, 1).
     """
 
     device_id: str
@@ -121,7 +122,12 @@ class DeviceProfile:
     def __post_init__(self) -> None:
         if not self.device_id:
             raise ProfileError("device_id must be non-empty")
-        cnot = {_norm_edge(a, b): float(r) for (a, b), r in self.cnot_error.items()}
+        cnot = {}
+        for (a, b), r in self.cnot_error.items():
+            edge = _norm_edge(a, b)
+            if edge in cnot:
+                raise ProfileError(f"cnot_error.{edge[0]}-{edge[1]}: edge given twice")
+            cnot[edge] = float(r)
         for edge in cnot:
             if edge not in self.topology.edges:
                 raise ProfileError(f"cnot_error.{edge[0]}-{edge[1]}: edge not in topology")
@@ -202,17 +208,16 @@ def error_vector(profile: DeviceProfile, region: Iterable[int] | None = None) ->
 
 
 def _parse_override_label(label: str) -> tuple:
-    try:
-        if label.startswith("CNOT_(") and label.endswith(")"):
-            a, _, b = label[len("CNOT_("):-1].partition(",")
-            return ("cnot", _norm_edge(int(a), int(b)))
-        if label.startswith("Meas_"):
-            return ("meas", int(label[len("Meas_"):]))
-        if label.startswith("SQ_"):
-            return ("single", int(label[len("SQ_"):]))
-    except ValueError:
-        pass
-    raise ProfileError(f"override label {label!r} is not CNOT_(a,b), Meas_q or SQ_q")
+    """Error key a label names; one spelling per entry, as for profile keys."""
+    if label.startswith("CNOT_(") and label.endswith(")"):
+        a, _, b = label[len("CNOT_("):-1].partition(",")
+        edge = (_index(a), _index(b))
+        if None not in edge and edge[0] < edge[1]:
+            return ("cnot", edge)
+    for prefix, kind in (("Meas_", "meas"), ("SQ_", "single")):
+        if label.startswith(prefix) and (q := _index(label[len(prefix):])) is not None:
+            return (kind, q)
+    raise ProfileError(f"override label {label!r} is not CNOT_(a,b) with a < b, Meas_q or SQ_q")
 
 
 def fabricate(profile: DeviceProfile, *, scale: float | None = None,
@@ -254,18 +259,10 @@ def fabricate(profile: DeviceProfile, *, scale: float | None = None,
 
 
 def topology_compatible(circuit, topology: Topology) -> bool:
-    """True when every op register exists and every 2-qubit op sits on an edge.
-
-    Total over anything with an ``ops`` sequence of (gate, registers) pairs;
-    never raises for mismatched circuits.
-    """
-    for op in circuit.ops:
-        regs = op.registers
-        if any(not (0 <= r < topology.num_qubits) for r in regs):
-            return False
-        if len(regs) == 2 and not topology.adjacent(*regs):
-            return False
-    return True
+    """True when each ("cnot", edge) key of ``circuit.error_keys`` is a topology
+    edge and every other key's register is below ``num_qubits``; never raises."""
+    return all(where in topology.edges if kind == "cnot" else where < topology.num_qubits
+               for kind, where in circuit.error_keys)
 
 
 # --- JSON document handling -------------------------------------------------

@@ -8,8 +8,8 @@ more at the measurement register.  This yields the closed-form parity
 oracle in `exact_survival`: a bit survives when an even number of its flip
 opportunities fire.
 
-Flip opportunities per qubit mirror the user-side estimator's op walk
-exactly, since both read the same rows of it, ``circuit.flips``.
+Flip opportunities mirror the user-side estimator's exactly: both read the
+rows ``circuit.flips`` and price each key of ``circuit.error_keys`` once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._flipcore import flip_thresholds, get_sampler, stream_keys
+from ._flipcore import flip_thresholds, get_sampler, offset_seed, stream_keys
 from .circuit import TranspiledCircuit, bit_at
 from .device import DeviceProfile, TopologyError
 from .estimator import Fingerprint, require_fit
@@ -85,7 +85,8 @@ def _schedule(circuit: TranspiledCircuit, noise: NoiseSpec):
     """
     if len(circuit.measured) > _MAX_MEASURED:
         raise ValueError(f"at most {_MAX_MEASURED} measured qubits supported")
-    probs = [noise.true_profile.rate_for(key) + noise.hidden_rate for _, _, key in circuit.flips]
+    rate = {key: noise.true_profile.rate_for(key) for key in circuit.error_keys}
+    probs = [rate[key] + noise.hidden_rate for _, _, key in circuit.flips]
     for p, (site, _, _) in zip(probs, circuit.flips):
         if p >= 1.0:
             raise ValueError(f"effective flip probability {p} at op {site[0]} not < 1")
@@ -101,24 +102,25 @@ def execute(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int, seed: int)
 
 def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
                rounds: int, seed: int) -> Counts:
-    """Pool several executions with per-round derived seeds (round r uses seed+r).
+    """Pool several executions with per-round derived seeds (round r uses
+    ``offset_seed(seed, r)``, i.e. seed + r).
 
-    The circuit is checked, scheduled and given its flip thresholds once;
-    each round derives only its keys and samples, and the pooled words are
-    counted in one pass.
+    The seed is checked first.  The circuit is checked, scheduled and given
+    its flip thresholds once; each round derives only its keys and samples,
+    and the pooled words are counted in one pass.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
     if shots < 1:
         raise ValueError("shots must be positive")
+    seeds = [offset_seed(seed, r) for r in range(rounds)]
     require_fit(circuit, noise.true_profile)
     sites, probs, bits = _schedule(circuit, noise)
     thresholds = flip_thresholds(probs)
     width = len(circuit.measured)
-    ideal = sum(circuit.ideal_bit(i) << i for i in range(width))
+    ideal = int(circuit.ideal_output, 2) if width else 0
     packed = np.concatenate([
-        get_sampler()(ideal, stream_keys(seed + r, sites), thresholds, bits, shots)
-        for r in range(rounds)])
+        get_sampler()(ideal, stream_keys(s, sites), thresholds, bits, shots) for s in seeds])
     values, ns = np.unique(packed, return_counts=True)
     pooled = {format(v, f"0{width}b") if width else "": n
               for v, n in zip(values.tolist(), ns.tolist())}

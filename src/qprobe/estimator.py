@@ -5,8 +5,8 @@ probability).  Walking the transpiled ops in order, every op that touches a
 tracked qubit's register multiplies its survival by (1 - e) where e is the
 op's published error rate; a SWAP counts as its three constituent CNOTs and
 exchanges the two locations; a MEASURE applies the readout error of the
-register the qubit ends up on.  That one pass is made when the circuit is
-built; an estimate folds its measured-qubit rows, ``circuit.flips``.
+register the qubit ends up on.  That pass is made when the circuit is built;
+an estimate prices ``circuit.error_keys`` once and folds ``circuit.flips``.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> 
     Raises TopologyError when the circuit does not fit the profile's topology.
     """
     require_fit(circuit, profile)
+    rate = {key: profile.rate_for(key) for key in circuit.error_keys}
     survival = [1.0] * len(circuit.measured)
     for _, bit, key in circuit.flips:
-        survival[bit] *= 1.0 - profile.rate_for(key)
+        survival[bit] *= 1.0 - rate[key]
     return Fingerprint(tuple(survival))
 
 
@@ -71,11 +72,12 @@ def trace_survival(circuit: TranspiledCircuit,
     The final snapshot's measured-qubit survivals equal estimate_fingerprint.
     """
     require_fit(circuit, profile)
+    rate = {key: profile.rate_for(key) for key in circuit.error_keys}
     survival = {q: 1.0 for q in circuit.initial_mapping}
     snapshots = [(-1, circuit.initial_mapping, dict(survival))]
     for step in walk_ops(circuit):
         for ev in step.events:
-            survival[ev.logical] *= 1.0 - profile.rate_for(ev.error_key)
+            survival[ev.logical] *= 1.0 - rate[ev.error_key]
         snapshots.append((step.op_index, step.locations, dict(survival)))
     return [(index, tuple(QubitTrack(q, locations[q], s[q]) for q in sorted(locations)))
             for index, locations, s in snapshots]

@@ -98,6 +98,19 @@ def test_transpile_error_keys():
     assert cnot.error_key == ("cnot", (0, 1))
 
 
+def test_circuit_lists_its_distinct_error_keys_in_first_use_order():
+    circ = transpile(build_bv("1"), line(2), [0, 1])
+    assert circ.error_keys == (("single", 1), ("single", 0), ("cnot", (0, 1)), ("meas", 0))
+    # a routing SWAP is keyed by its edge; the ops after it by the new register
+    routed = transpile(build_bv("1"), line(3), [0, 2])
+    assert routed.error_keys == (("single", 2), ("single", 0), ("cnot", (0, 1)),
+                                 ("cnot", (1, 2)), ("single", 1), ("meas", 1))
+    ops = (TranspiledOp(Gate.CNOT, (1, 0)), TranspiledOp(Gate.SWAP, (0, 1)),
+           TranspiledOp(Gate.MEASURE, (1,)))
+    assert TranspiledCircuit(2, ops, {0: 0}, (0,), "0").error_keys == \
+        (("cnot", (0, 1)), ("meas", 1))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_routing_on_a_line_uses_distance_minus_one_swaps(n):
     # input at one end, ancilla at the other: the single oracle CNOT spans
@@ -214,7 +227,7 @@ def test_compose_probe_concatenates_measured_qubits():
     circ = compose_probe([("1", (0, 1)), ("0", (3, 4))], line(6))
     assert circ.measured == (0, 2)
     assert circ.ideal_output == "01"
-    assert circ.ideal_bit(0) == 1 and circ.ideal_bit(1) == 0
+    assert bit_at(circ.ideal_output, 0) == "1" and bit_at(circ.ideal_output, 1) == "0"
     qsim.assert_deterministic_output(qsim.measured_marginal(circ), "01")
 
 

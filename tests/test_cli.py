@@ -20,6 +20,7 @@ from qprobe.circuit import compose_probe
 from qprobe.cli import CommandError, ProbeSpec, main, parse_probe_args, parse_strategy
 
 CORNER_PROBE = ["--probe", "bv:11", "--mapping", "0,1,3"]
+DEMO_FLEET = Path(__file__).resolve().parents[1] / "fleets" / "demo" / "fleet.json"
 
 
 # --- flag parsing --------------------------------------------------------------
@@ -76,6 +77,11 @@ def test_parse_strategy():
         parse_strategy("set:Meas_0")
     with pytest.raises(CommandError, match="at least one override"):
         parse_strategy("set:")
+    # a repeated label would silently keep its last rate
+    with pytest.raises(CommandError, match=re.escape("override label 'Meas_0' given twice")):
+        parse_strategy("set:Meas_0=0.1,Meas_0=0.5")
+    with pytest.raises(CommandError, match=re.escape("label 'CNOT_(0,1)' given twice")):
+        parse_strategy("set:CNOT_(0,1)=0.1,Meas_1=0.2,CNOT_(0,1)=0.3")
 
 
 def test_probe_spec_builds_against_a_fitting_device(drift_fleet):
@@ -211,6 +217,43 @@ def test_seed_outside_64_bits_exits_one(corner_fleet, tmp_path, seed, capsys):
     assert not out.exists()
 
 
+def test_the_top_seed_runs_and_aliases_minus_one(tmp_path):
+    distances = []
+    for seed in ("-1", str(2**64 - 1)):
+        out = tmp_path / seed
+        code = main(["detect-sub", "--fleet", str(DEMO_FLEET), *CORNER_PROBE,
+                     "--victim", "alpine", "--actual", "alpine", "--shots", "50",
+                     "--seed", seed, "--out", str(out)])
+        assert code == 0
+        distances.append(json.loads((out / "detect-sub.json").read_text())["summary"]["distance"])
+    assert distances == [0.00559805527935997] * 2
+    out = tmp_path / "identify"
+    code = main(["identify", "--fleet", str(DEMO_FLEET), *CORNER_PROBE, "--shots", "50",
+                 "--seed", str(2**64 - 1), "--out", str(out)])
+    assert code in (0, 2)
+    # row i uses seed + 3 * i, wrapped modulo 2**64
+    rows = json.loads((out / "identify.json").read_text())["trials"]
+    assert [row["seed"] for row in rows] == [2**64 - 1, 2, 5, 8]
+    code = main(["sweep", "--fleet", str(DEMO_FLEET), *CORNER_PROBE, "--shots", "50",
+                 "--seed", str(2**64 - 1)])
+    assert code in (0, 2)
+
+
+@pytest.mark.parametrize("fab, label", [
+    ("set:Meas_0=0.1,Meas_0=0.5", "override label 'Meas_0' given twice"),
+    ("set:CNOT_(0,1)=0.1,CNOT_(1,0)=0.2", "override label 'CNOT_(1,0)' is not CNOT_(a,b)"),
+    ("set:Meas_01=0.1", "override label 'Meas_01' is not CNOT_(a,b)"),
+    ("set:CNOT_( 0, 1)=0.1", "override label 'CNOT_( 0, 1)' is not CNOT_(a,b)"),
+])
+def test_a_second_spelling_of_an_override_exits_one(corner_fleet, fab, label, capsys):
+    code = main(["detect-fab", "--fleet", str(corner_fleet), *CORNER_PROBE,
+                 "--device", "alpine", "--fab", fab])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert f"error: {label}" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", [
     ["detect-sub", "--victim", "alpine", "--actual", "dune"],
     ["detect-fab", "--device", "alpine", "--fab", "scale:0.5"],
@@ -273,6 +316,12 @@ def test_unknown_device_exits_one_with_an_unquoted_message(corner_fleet, command
     ([{"profile_path": "alpine.json",
        "fabrication": {"scale": 0.5, "overides": {"Meas_0": 0.1}}}], {},
      "fleet entry 0: fabrication: unknown key 'overides'"),
+    # an override label has one spelling, so no entry can be set twice
+    ([{"profile_path": "alpine.json",
+       "fabrication": {"overrides": {"CNOT_(0,1)": 0.1, "CNOT_(1,0)": 0.2}}}], {},
+     "override label 'CNOT_(1,0)' is not CNOT_(a,b) with a < b"),
+    ([{"profile_path": "alpine.json", "fabrication": {"overrides": {"Meas_01": 0.1}}}], {},
+     "override label 'Meas_01' is not CNOT_(a,b)"),
 ])
 def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, message, capsys):
     doc = json.loads(dump_profile(fleetgen.corner_profiles()[0]))

@@ -33,6 +33,13 @@ def corner_cloud(attack: AttackConfig | None = None) -> QuantumCloud:
     return cloud
 
 
+def line_cloud() -> QuantumCloud:
+    line = fleetgen.drift_profiles()[0]
+    cloud = QuantumCloud()
+    cloud.register(CatalogEntry(line.device_id, line, NoiseSpec(line)))
+    return cloud
+
+
 def probe():
     return transpile(build_bv("11"), fleetgen.t5(), [0, 1, 3])
 
@@ -158,9 +165,8 @@ def test_a_job_walks_its_probe_once_and_checks_topology_once(monkeypatch):
 
 def test_a_composite_probe_is_built_and_walked_once(monkeypatch):
     calls = count_build_walk_and_fit_calls(monkeypatch)
-    line = fleetgen.drift_profiles()[0]
-    cloud = QuantumCloud()
-    cloud.register(CatalogEntry(line.device_id, line, NoiseSpec(line)))
+    cloud = line_cloud()
+    line = cloud.get_profile(cloud.device_ids()[0])
     circuit = compose_probe(fleetgen.DRIFT_PROBES[4][:2], line.topology)
     estimate_fingerprint(circuit, line)
     assert calls["topology_compatible"] == 1
@@ -168,6 +174,27 @@ def test_a_composite_probe_is_built_and_walked_once(monkeypatch):
     assert calls["topology_compatible"] == 2
     assert calls["__post_init__"] == 1
     assert calls["_walk"] == 1
+
+
+def test_a_job_prices_each_error_key_once_per_side(monkeypatch):
+    priced = []
+    rate_for = DeviceProfile.rate_for
+
+    def counted(profile, key):
+        priced.append(key)
+        return rate_for(profile, key)
+    monkeypatch.setattr(DeviceProfile, "rate_for", counted)
+    line = line_cloud()
+    composite = compose_probe(fleetgen.DRIFT_PROBES[4][:2], fleetgen.drift_profiles()[0].topology)
+    for cloud, circuit in ((corner_cloud(), probe()), (line, composite)):
+        device_id = cloud.device_ids()[0]
+        # many flip rows share a key, so pricing per row would cost more calls
+        assert len(circuit.flips) > len(circuit.error_keys)
+        priced.clear()
+        estimate_fingerprint(circuit, cloud.get_profile(device_id))
+        assert priced == list(circuit.error_keys)
+        cloud.submit(device_id, circuit, shots=100, rounds=3, seed=0)
+        assert priced == 2 * list(circuit.error_keys)
 
 
 def test_fabrication_doctors_only_the_advertised_profile():

@@ -19,7 +19,7 @@ from qprobe import (
     load_profile,
     topology_compatible,
 )
-from qprobe.circuit import build_bv, transpile
+from qprobe.circuit import build_bv, compose_probe, transpile
 
 
 def make_profile(**overrides) -> DeviceProfile:
@@ -93,6 +93,13 @@ def test_profile_normalizes_cnot_edge_orientation():
     prof = make_profile(cnot_error={(1, 0): 0.01, (1, 2): 0.02, (1, 3): 0.03, (3, 4): 0.04})
     assert prof.rate_for(("cnot", (0, 1))) == 0.01
     assert prof.rate_for(("cnot", (1, 0))) == 0.01
+
+
+def test_profile_rejects_an_edge_keyed_in_both_orientations():
+    # one rate per edge: (1, 0) would silently overwrite (0, 1)
+    with pytest.raises(ProfileError, match=re.escape("cnot_error.0-1: edge given twice")):
+        make_profile(cnot_error={(0, 1): 0.01, (1, 0): 0.05, (1, 2): 0.02, (1, 3): 0.03,
+                                 (3, 4): 0.04})
 
 
 def test_profile_requires_rate_per_edge_and_qubit():
@@ -174,7 +181,9 @@ def test_fabricate_argument_validation():
         fabricate(prof, overrides={"Flux_0": 0.1})
     with pytest.raises(ProfileError, match="does not name"):
         fabricate(prof, overrides={"CNOT_(0,2)": 0.1})
-    for label in ("CNOT_(x,1)", "CNOT_(1)", "Meas_", "SQ_q"):
+    # one spelling per entry: canonical decimals, and CNOT_(a,b) with a < b
+    for label in ("CNOT_(x,1)", "CNOT_(1)", "Meas_", "SQ_q", "Meas_01", "Meas_+1", "Meas_ 1",
+                  "SQ_-1", "CNOT_( 0, 1)", "CNOT_(0,01)", "CNOT_(1,0)", "CNOT_(1,1)"):
         with pytest.raises(ProfileError, match=f"label '{re.escape(label)}' is not CNOT"):
             fabricate(prof, overrides={label: 0.1})
     with pytest.raises(ProfileError, match="scale_factor"):
@@ -188,6 +197,53 @@ def test_topology_compatible_is_total():
     assert not topology_compatible(circuit, Topology(3, [(0, 1), (1, 2)]))
     # same qubit count, different couplings
     assert not topology_compatible(circuit, Topology(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+
+
+def per_op_fit(circuit, topology: Topology) -> bool:
+    """True when every op register exists and every 2-qubit op sits on an edge.
+
+    The fit rule as a loop over every op, kept as the oracle of the key-set
+    test ``topology_compatible`` makes over ``circuit.error_keys``.
+    """
+    for op in circuit.ops:
+        regs = op.registers
+        if any(not (0 <= r < topology.num_qubits) for r in regs):
+            return False
+        if len(regs) == 2 and not topology.adjacent(*regs):
+            return False
+    return True
+
+
+@st.composite
+def connected_topologies(draw) -> Topology:
+    """2 to 8 qubits: a random path through every qubit plus random extra couplings."""
+    n = draw(st.integers(min_value=2, max_value=8), label="qubits")
+    order = draw(st.permutations(range(n)), label="path order")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=n), label="extra edges")
+    return Topology(n, list(zip(order, order[1:])) + extra)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_key_set_fit_equals_the_per_op_rule(data):
+    topo = data.draw(connected_topologies(), label="device")
+    k = data.draw(st.integers(min_value=1, max_value=topo.num_qubits - 1), label="secret bits")
+    secret = data.draw(st.text(alphabet="01", min_size=k, max_size=k), label="secret")
+    mapping = data.draw(st.permutations(range(topo.num_qubits)), label="mapping")[: k + 1]
+    circuit = compose_probe([(secret, mapping)], topo)
+    edges = topo.sorted_edges()
+    fewer = data.draw(st.integers(min_value=1, max_value=topo.num_qubits), label="fewer qubits")
+    missing = data.draw(st.sampled_from(edges), label="missing edge")
+    candidates = [
+        topo,
+        Topology(fewer, [(a, b) for a, b in edges if b < fewer]),
+        Topology(topo.num_qubits, [e for e in edges if e != missing]),
+        data.draw(connected_topologies(), label="substitution target"),
+    ]
+    for candidate in candidates:
+        assert topology_compatible(circuit, candidate) == per_op_fit(circuit, candidate)
+    assert topology_compatible(circuit, topo)
 
 
 # --- JSON documents ------------------------------------------------------------

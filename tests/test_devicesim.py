@@ -34,6 +34,7 @@ from qprobe._flipcore import (
     _TILE,
     _mix64_np,
     compiled_sampler,
+    offset_seed,
     flip_thresholds,
     get_sampler,
     sample_packed_numpy,
@@ -78,6 +79,26 @@ def test_stream_keys_accept_exactly_the_64_bit_seeds():
     for seed in (-2**63 - 1, 2**64):
         with pytest.raises(ValueError, match="outside the 64-bit range"):
             stream_keys(seed, site)
+
+
+def test_offset_seed_checks_the_given_seed_and_wraps_the_sum():
+    # sums inside the range are kept, so reports record the seeds they always did
+    assert [offset_seed(-5, k) for k in (0, 3, 6)] == [-5, -2, 1]
+    assert offset_seed(2**64 - 4, 3) == 2**64 - 1
+    # a sum past the top wraps modulo 2**64, like -1 and 2**64 - 1
+    assert [offset_seed(2**64 - 1, k) for k in (0, 1, 3)] == [2**64 - 1, 0, 2]
+    # only the given seed is checked, and the error names it
+    for seed in (-2**63 - 1, 2**64):
+        with pytest.raises(ValueError, match=f"seed {seed} outside the 64-bit range"):
+            offset_seed(seed, 0)
+
+
+def test_rounds_past_the_top_seed_alias_the_seeds_below_it():
+    circ = transpile(build_bv("11"), fleetgen.t5(), [0, 1, 3])
+    noise = NoiseSpec(fleetgen.corner_profiles()[0], hidden_rate=0.05)
+    top = run_rounds(circ, noise, shots=200, rounds=3, seed=2**64 - 1)
+    assert top.counts == run_rounds(circ, noise, shots=200, rounds=3, seed=-1).counts
+
 
 def test_noiseless_execution_returns_the_ideal_output():
     circ = transpile(build_bv("101"), fleetgen.t5(), [0, 1, 2, 3])
@@ -176,7 +197,7 @@ def test_compiled_and_numpy_kernels_agree(flipcore_c):
     rng = np.random.default_rng(13)
     circ, noise = fleetgen.random_fixture(rng)
     sites, probs, bits = _schedule(circ, noise)
-    ideal = sum(circ.ideal_bit(i) << i for i in range(len(circ.measured)))
+    ideal = int(circ.ideal_output, 2) if circ.ideal_output else 0
     args = (ideal, stream_keys(31, sites), flip_thresholds(probs), bits, 20000)
     compiled = compiled_sampler(flipcore_c)(*args)
     assert compiled.dtype == np.uint64
