@@ -5,15 +5,36 @@ are driven by a fleet config file and probe specs; reports are emitted as
 JSON or CSV and contain no timestamps or environment state, so two runs
 with identical flags produce byte-identical output.
 
+Reports are written by ``ExperimentReport``.  JSON is the output of
+``json.dumps(doc, indent=2, sort_keys=True)`` to the byte, but only
+``kind``, ``params`` and ``summary`` go through that call: with an indent,
+``json`` falls back to its pure-Python encoder, which dominated the cost
+of a scan.  The ``trials`` rows, the bulk of ``identify`` and ``sweep``
+reports, are written column by column: a column of only strings, only
+ints or only finite floats goes through the encoder ``json`` itself uses
+for that type, a column of dicts sharing one key set (identify's
+``distances``) is written the same way one level down, and any other
+column value by value with ``json.dumps``.  A row's text is then its keys'
+fixed prefixes interleaved with its cells.  CSV goes through
+``csv.writer`` with minimal quoting, so a probe label such as
+``bv:11@0,1,3`` stays one cell.
+
 Exit codes: 0 for honest / fully identified, 2 when fraud (or an identity
 mismatch) is detected, 1 for configuration and I/O errors.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from operator import add, itemgetter
 from pathlib import Path
 
 import click
@@ -159,35 +180,89 @@ def parse_strategy(text: str) -> dict:
 
 @dataclass
 class ExperimentReport:
+    """One command's report.
+
+    Every row of ``trials`` has the same set of string keys (each ``run_*``
+    function builds its rows from one literal), which lets ``to_json``
+    write the rows column by column; rows with different key sets raise
+    ValueError.
+    """
+
     kind: str
     params: dict
     trials: list[dict]
     summary: dict
 
     def to_json(self) -> str:
-        doc = {"kind": self.kind, "params": self.params,
-               "trials": self.trials, "summary": self.summary}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+        head = json.dumps({"kind": self.kind, "params": self.params, "summary": self.summary},
+                          indent=2, sort_keys=True)
+        # "trials" sorts after "summary", so it closes the document
+        return f'{head[:-2]},\n  "trials": {_json_rows(self.trials)}\n}}\n'
 
     def to_csv(self) -> str:
         if self.kind == "identify":
-            return self._matrix_csv()
-        if not self.trials:
+            candidates = self.params["candidates"]
+            rows = [["device", *candidates]]
+            for trial in self.trials:
+                distances = trial.get("distances") or {}
+                rows.append([trial["device"], *(_csv_cell(distances.get(c)) for c in candidates)])
+        elif not self.trials:
             return "\n"
-        columns = sorted(self.trials[0])
-        lines = [",".join(columns)]
-        for trial in self.trials:
-            lines.append(",".join(_csv_cell(trial.get(c)) for c in columns))
-        return "\n".join(lines) + "\n"
+        else:
+            columns = sorted(self.trials[0])
+            rows = [columns, *([_csv_cell(trial.get(c)) for c in columns]
+                               for trial in self.trials)]
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return out.getvalue()
 
-    def _matrix_csv(self) -> str:
-        candidates = self.params["candidates"]
-        lines = [",".join(["device"] + list(candidates))]
-        for trial in self.trials:
-            distances = trial.get("distances") or {}
-            row = [trial["device"]] + [_csv_cell(distances.get(c)) for c in candidates]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+
+def _json_rows(trials: list[dict]) -> str:
+    """The ``trials`` list as the indented encoder writes it at depth 1."""
+    if not trials:
+        return "[]"
+    if not _one_key_set(trials):
+        raise ValueError("report rows must share one key set")
+    return "[\n    " + ",\n    ".join(_json_dicts(trials, 4)) + "\n  ]"
+
+
+def _one_key_set(dicts: list[dict]) -> bool:
+    return all(map(dicts[0].keys().__eq__, map(dict.keys, dicts)))
+
+
+def _json_dicts(dicts: list[dict], indent: int) -> list[str]:
+    """Dicts with one set of string keys, each as the indented encoder
+    writes it when its opening brace sits ``indent`` spaces in."""
+    keys = sorted(dicts[0])
+    if not keys:
+        return ["{}"] * len(dicts)
+    pad = "\n" + " " * (indent + 2)
+    # a dict's text is its keys' fixed prefixes interleaved with its column cells
+    parts = []
+    for i, key in enumerate(keys):
+        prefix = ("," if i else "{") + pad + encode_basestring_ascii(key) + ": "
+        parts += [repeat(prefix, len(dicts)),
+                  _json_column(list(map(itemgetter(key), dicts)), indent + 2)]
+    parts.append(repeat("\n" + " " * indent + "}", len(dicts)))
+    return list(map("".join, zip(*parts)))
+
+
+def _json_column(values: list, indent: int):
+    """Each value as the indented encoder writes it ``indent`` spaces in."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    if (kinds == {dict} and _one_key_set(values)
+            and all(type(k) is str for k in values[0])):
+        return _json_dicts(values, indent)
+    # ASCII JSON has no raw newline inside a string, so this only re-indents
+    pad = "\n" + " " * indent
+    return [json.dumps(v, indent=2, sort_keys=True).replace("\n", pad) for v in values]
 
 
 def _csv_cell(value) -> str:
@@ -371,7 +446,8 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
         if not rows:
             return None
         values = [t["distance"] for t in rows]
-        return {"n": len(values), "mean": sum(values) / len(values),
+        # a left-to-right fold: sum() of floats is compensated from Python 3.12
+        return {"n": len(values), "mean": reduce(add, values, 0.0) / len(values),
                 "min": min(values), "max": max(values)}
 
     honest = [t for t in trials if t["pair"] == "honest"]

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, sub
 from typing import Mapping
 
 from .device import ErrorVector
@@ -47,9 +49,12 @@ class Verdict:
 
 def manhattan_avg(a: Fingerprint, b: Fingerprint) -> float:
     """Average per-qubit Manhattan distance between two fingerprints."""
-    if len(a) == 0 or len(a) != len(b):
+    xs, ys = a.survivals, b.survivals
+    if not xs or len(xs) != len(ys):
         raise ValueError("fingerprints must be non-empty and the same length")
-    return sum(abs(x - y) for x, y in zip(a.survivals, b.survivals)) / len(a)
+    # a left-to-right fold, not sum(): from Python 3.12 sum() compensates
+    # float rounding, which would move the last bits of every distance
+    return reduce(add, map(abs, map(sub, xs, ys)), 0.0) / len(xs)
 
 
 def check_threshold(threshold: float) -> None:
@@ -93,6 +98,7 @@ def static_match(candidates: Mapping[str, ErrorVector],
     for name, vec in candidates.items():
         if vec.labels() != observed.labels():
             raise ValueError(f"candidate {name!r} has mismatched error-vector labels")
-        distances[name] = sum(abs(x - y) for x, y in zip(vec.rates(), observed.rates()))
+        # folded left to right, as in manhattan_avg
+        distances[name] = reduce(add, map(abs, map(sub, vec.rates(), observed.rates())), 0.0)
     best = min(sorted(distances), key=lambda name: distances[name])
     return best, distances

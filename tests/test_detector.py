@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fleetgen
-from qprobe import DEFAULT_THRESHOLD, Fingerprint, detect, error_vector, fabricate, manhattan_avg
+from qprobe import (DEFAULT_THRESHOLD, ErrorVector, Fingerprint, detect, error_vector, fabricate,
+                    manhattan_avg)
 from qprobe.detector import match_device, static_match
 
 survival = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -38,6 +39,26 @@ def test_metric_axioms(triples):
     # float rounding can break the triangle inequality by about one ulp; the
     # slack here covers that and nothing more
     assert manhattan_avg(a, c) <= manhattan_avg(a, b) + manhattan_avg(b, c) + 1e-12
+
+
+def left_to_right(xs, ys) -> float:
+    total = 0.0
+    for x, y in zip(xs, ys):
+        total += abs(x - y)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(survival, survival), min_size=1, max_size=300))
+def test_distances_add_left_to_right(pairs):
+    # sum() of floats is compensated from Python 3.12; a plain fold keeps
+    # every distance, and so every report, the same on each Python
+    xs, ys = map(tuple, zip(*pairs))
+    assert manhattan_avg(Fingerprint(xs), Fingerprint(ys)) == left_to_right(xs, ys) / len(xs)
+    labels = [f"Meas_{i}" for i in range(len(xs))]
+    _, distances = static_match({"a": ErrorVector(tuple(zip(labels, xs)))},
+                                ErrorVector(tuple(zip(labels, ys))))
+    assert distances["a"] == left_to_right(xs, ys)
 
 
 def test_detect_boundary_is_strict():
