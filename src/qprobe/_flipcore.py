@@ -14,19 +14,26 @@ top 53 bits of u, scaled to [0, 1), fall below p.  Both kernels take the
 same arguments, (ideal, keys, thresholds, bits, shots), and make that one
 integer test.
 
-The numpy kernel sorts the events by target bit and, per bit, mixes tiles of
-events x shots of about ``_TILE`` words at once, xor-reducing each tile's
-flips into that bit's parity row; each row is then applied to the packed
-words once.  A call costs a few numpy operations per tile, not per event, and
-its memory is O(shots) plus two tiles.
+A stream key depends on the seed only through its first mix, so a circuit
+keeps two seed-free salts per event (``stream_salts``): (op * 4 + sub + 1) *
+gamma and (register + 1) * gamma.  ``salted_keys`` mixes each seed once and
+then salts and mixes all of a circuit's events at once.
+
+The numpy kernel stable-sorts the events by target bit and cuts the sorted
+list into tiles of events x shots of about ``_TILE`` words, so a tile may
+span several bits.  It mixes each tile at once and xor-reduces the tile's
+hits of each bit run inside it into that bit's parity row; a run's row is
+applied to the packed words once, where the run ends.  A call costs a few
+numpy operations per tile plus a few per bit run, not per event, and its
+memory is O(shots) plus two tiles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["offset_seed", "stream_keys", "flip_thresholds", "sample_packed_numpy",
-           "compiled_sampler", "active_kernel", "get_sampler"]
+__all__ = ["offset_seed", "stream_salts", "salted_keys", "stream_keys", "flip_thresholds",
+           "sample_packed_numpy", "compiled_sampler", "active_kernel", "get_sampler"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -50,6 +57,15 @@ def _mix64_np(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     return z
 
 
+def _mix64(z: int) -> int:
+    """``_mix64_np`` of one word held as a Python int in [0, 2**64)."""
+    z ^= z >> 30
+    z = z * _MIX1 & _MASK
+    z ^= z >> 27
+    z = z * _MIX2 & _MASK
+    return z ^ z >> 31
+
+
 def offset_seed(seed: int, offset: int) -> int:
     """The seed ``offset`` >= 0 steps after ``seed``, for a round or report row.
 
@@ -62,20 +78,43 @@ def offset_seed(seed: int, offset: int) -> int:
     return seed + offset if seed + offset <= _MASK else (seed + offset) & _MASK
 
 
+def stream_salts(sites) -> np.ndarray:
+    """Seed-free salts of each flip opportunity, a (2, n) uint64 array.
+
+    ``sites`` is an (n, 3) integer array of (op index, sub-op, register); row
+    0 holds (op * 4 + sub + 1) * gamma and row 1 (register + 1) * gamma.
+    uint64 arithmetic wraps like the masked integer steps.
+    """
+    sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3).astype(np.uint64)
+    gamma = np.uint64(_GAMMA)
+    return np.stack([(sites[:, 0] * np.uint64(4) + sites[:, 1] + np.uint64(1)) * gamma,
+                     (sites[:, 2] + np.uint64(1)) * gamma])
+
+
+def salted_keys(seeds, salts) -> np.ndarray:
+    """Stream keys of every event under each seed: a (len(seeds), n) uint64 array.
+
+    ``seeds`` come from ``offset_seed`` and ``salts`` from ``stream_salts``.
+    A negative seed keys the streams of its two's complement.  Each seed's
+    first mix is one scalar; then every event of every seed is salted and
+    mixed at once.
+    """
+    first = np.array([_mix64((seed & _MASK) ^ _GAMMA) for seed in seeds], dtype=np.uint64)
+    keys = np.bitwise_xor(first[:, None], salts[0])
+    scratch = np.empty_like(keys)
+    _mix64_np(keys, scratch)
+    keys ^= salts[1]
+    return _mix64_np(keys, scratch)
+
+
 def stream_keys(seed: int, sites) -> np.ndarray:
     """Stream key of each flip opportunity; the per-shot counter salts it later.
 
     ``sites`` is an (n, 3) integer array of (op index, sub-op, register).
     ``seed`` lies in [-2**63, 2**64) (see ``offset_seed``), a negative one
-    keying the streams of its two's complement.  uint64 arithmetic wraps like
-    the masked integer steps.
+    keying the streams of its two's complement.
     """
-    seed = offset_seed(seed, 0)
-    sites = np.asarray(sites, dtype=np.int64).reshape(-1, 3).astype(np.uint64)
-    gamma = np.uint64(_GAMMA)
-    h = _mix64_np(np.full(len(sites), (seed & _MASK) ^ _GAMMA, dtype=np.uint64))
-    h = _mix64_np(h ^ ((sites[:, 0] * np.uint64(4) + sites[:, 1] + np.uint64(1)) * gamma))
-    return _mix64_np(h ^ ((sites[:, 2] + np.uint64(1)) * gamma))
+    return salted_keys([offset_seed(seed, 0)], stream_salts(sites))[0]
 
 
 def flip_thresholds(probs) -> np.ndarray:
@@ -106,20 +145,29 @@ def sample_packed_numpy(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
     order = np.argsort(bits, kind="stable")
     keys = keys[order]
     thresholds = thresholds[order]
-    targets, starts = np.unique(bits[order], return_index=True)
-    ends = np.append(starts[1:], len(keys))
-    step = min(max(1, _TILE // shots), int((ends - starts).max()))
+    bits = bits[order]
+    cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+    starts, ends = [0, *cuts], [*cuts, len(keys)]  # the bit runs
+    step = min(max(1, _TILE // shots), len(keys))
     words, scratch = np.empty((2, step, shots), dtype=np.uint64)
     flips = np.empty((step, shots), dtype=bool)
-    for bit, first, stop in zip(targets.tolist(), starts.tolist(), ends.tolist()):
-        parity = np.zeros(shots, dtype=bool)
-        for lo in range(first, stop, step):
-            hi = min(lo + step, stop)
-            tile = np.bitwise_xor(keys[lo:hi, None], salts, out=words[:hi - lo])
-            _mix64_np(tile, scratch[:hi - lo])
-            hit = np.less(tile, thresholds[lo:hi, None], out=flips[:hi - lo])
-            parity ^= np.bitwise_xor.reduce(hit, axis=0)
-        out ^= parity.astype(np.uint64) << np.uint64(bit)
+    targets = bits[starts].tolist()
+    run, carry = 0, None  # carry: parity so far of a run that spans tiles
+    for lo in range(0, len(keys), step):
+        hi = min(lo + step, len(keys))
+        tile = np.bitwise_xor(keys[lo:hi, None], salts, out=words[:hi - lo])
+        _mix64_np(tile, scratch[:hi - lo])
+        hit = np.less(tile, thresholds[lo:hi, None], out=flips[:hi - lo])
+        while run < len(starts) and starts[run] < hi:  # the runs inside this tile
+            first, stop = max(starts[run], lo) - lo, min(ends[run], hi) - lo
+            parity = np.bitwise_xor.reduce(hit[first:stop], axis=0)
+            if starts[run] < lo:
+                parity ^= carry
+            if ends[run] > hi:
+                carry = parity
+                break
+            out ^= parity.astype(np.uint64) << np.uint64(targets[run])
+            run += 1
     return out
 
 

@@ -8,6 +8,9 @@ The op walk (`walk_ops`) is the single source of truth for which error
 opportunities touch which qubit.  A circuit is walked once, when it is built.
 The estimator, the parity oracle and the sampler all read its measured-qubit
 rows, ``flips``, so they agree; fit checks and prices read ``error_keys``.
+The same rows are also kept as arrays for the sampler's job path:
+``flip_sites``, ``flip_bits``, ``flip_slots`` (indices into ``error_keys``)
+and ``flip_salts`` (the seed-free halves of the rows' stream keys).
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
+from ._flipcore import stream_salts
 from .device import Topology
 
 __all__ = [
@@ -205,6 +211,10 @@ class TranspiledCircuit:
     after all routing SWAPs), ``error_keys`` (the ops' distinct keys, first
     use first) and ``flips``, one row ((op index, sub-op, register),
     fingerprint index, error key) per measured-qubit event, in walk order.
+    The rows are also held as read-only arrays: ``flip_sites`` (n x 3
+    int64), ``flip_bits`` (int64 fingerprint indices), ``flip_slots`` (int64
+    indices into ``error_keys``) and ``flip_salts`` (2 x n uint64, from
+    ``_flipcore.stream_salts``).
     """
 
     num_qubits: int
@@ -216,6 +226,10 @@ class TranspiledCircuit:
     error_keys: tuple[tuple, ...] = field(init=False, compare=False)
     steps: tuple[WalkStep, ...] = field(init=False, compare=False, repr=False)
     flips: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
+    flip_sites: np.ndarray = field(init=False, compare=False, repr=False)
+    flip_bits: np.ndarray = field(init=False, compare=False, repr=False)
+    flip_slots: np.ndarray = field(init=False, compare=False, repr=False)
+    flip_salts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for q, p in self.initial_mapping.items():
@@ -237,12 +251,21 @@ class TranspiledCircuit:
         object.__setattr__(self, "final_mapping",
                            dict(steps[-1].locations if steps else self.initial_mapping))
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "error_keys",
-                           tuple(dict.fromkeys(op.error_key for op in self.ops)))
+        error_keys = tuple(dict.fromkeys(op.error_key for op in self.ops))
+        object.__setattr__(self, "error_keys", error_keys)
         bit_of = {q: i for i, q in enumerate(self.measured)}
-        object.__setattr__(self, "flips", tuple(
-            ((ev.op_index, ev.sub, ev.register), bit_of[ev.logical], ev.error_key)
-            for step in steps for ev in step.events if ev.logical in bit_of))
+        flips = tuple(((ev.op_index, ev.sub, ev.register), bit_of[ev.logical], ev.error_key)
+                      for step in steps for ev in step.events if ev.logical in bit_of)
+        object.__setattr__(self, "flips", flips)
+        slot_of = {key: i for i, key in enumerate(error_keys)}
+        sites = np.array([site for site, _, _ in flips], dtype=np.int64).reshape(-1, 3)
+        for name, array in (
+                ("flip_sites", sites),
+                ("flip_bits", np.array([bit for _, bit, _ in flips], dtype=np.int64)),
+                ("flip_slots", np.array([slot_of[key] for _, _, key in flips], dtype=np.int64)),
+                ("flip_salts", stream_salts(sites))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
 
 def walk_ops(circuit: TranspiledCircuit) -> Iterator[WalkStep]:

@@ -424,6 +424,8 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
     usable decision threshold.
     """
     trials = []
+    pooled: dict[str, list[float]] = {"honest": [], "cross": []}
+    sized: dict[int, dict[str, list[float]]] = {}
     job_index = 0
     for probe in probes:
         label, size = probe.label, probe.size
@@ -435,29 +437,26 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
             job = cloud.submit(device_id, circuit, shots, rounds, job_seed)
             observed = survival_from_counts(job.counts, circuit.ideal_output)
             for candidate in expected:
+                pair = "honest" if candidate == device_id else "cross"
+                distance = manhattan_avg(expected[candidate], observed)
                 trials.append({
                     "probe": label, "size": size, "device": device_id,
                     "candidate": candidate, "seed": job_seed,
-                    "pair": "honest" if candidate == device_id else "cross",
-                    "distance": manhattan_avg(expected[candidate], observed),
+                    "pair": pair, "distance": distance,
                 })
+                pooled[pair].append(distance)
+                sized.setdefault(size, {"honest": [], "cross": []})[pair].append(distance)
 
-    def stats(rows: list[dict]) -> dict | None:
-        if not rows:
+    def stats(values: list[float]) -> dict | None:
+        if not values:
             return None
-        values = [t["distance"] for t in rows]
         # a left-to-right fold: sum() of floats is compensated from Python 3.12
         return {"n": len(values), "mean": reduce(add, values, 0.0) / len(values),
                 "min": min(values), "max": max(values)}
 
-    honest = [t for t in trials if t["pair"] == "honest"]
-    cross = [t for t in trials if t["pair"] == "cross"]
-    by_size = {}
-    for size in sorted({t["size"] for t in trials}):
-        by_size[str(size)] = {
-            "honest": stats([t for t in honest if t["size"] == size]),
-            "cross": stats([t for t in cross if t["size"] == size]),
-        }
+    honest, cross = pooled["honest"], pooled["cross"]
+    by_size = {str(size): {pair: stats(values) for pair, values in sized[size].items()}
+               for size in sorted(sized)}
     summary: dict = {"honest": stats(honest), "cross": stats(cross), "by_size": by_size}
     if honest and cross:
         gap = [summary["honest"]["max"], summary["cross"]["min"]]

@@ -8,19 +8,26 @@ more at the measurement register.  This yields the closed-form parity
 oracle in `exact_survival`: a bit survives when an even number of its flip
 opportunities fire.
 
-Flip opportunities mirror the user-side estimator's exactly: both read the
-rows ``circuit.flips`` and price each key of ``circuit.error_keys`` once.
+Flip opportunities mirror the user-side estimator's exactly: the estimator
+reads the rows ``circuit.flips`` and a job reads the same rows as the
+circuit's arrays (``flip_slots``, ``flip_bits``, ``flip_salts``); both price
+each key of ``circuit.error_keys`` once.  A job's outcomes stay packed words:
+``Counts`` keeps the distinct words and their counts, formats its
+``counts`` strings only when they are first read, and
+``survival_from_counts`` reads the words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from ._flipcore import flip_thresholds, get_sampler, offset_seed, stream_keys
-from .circuit import TranspiledCircuit, bit_at
+from ._flipcore import flip_thresholds, get_sampler, offset_seed, salted_keys
+from .circuit import TranspiledCircuit
 from .device import DeviceProfile, TopologyError
 from .estimator import Fingerprint, require_fit
 
@@ -54,45 +61,89 @@ class NoiseSpec:
             raise ValueError(f"hidden_rate {self.hidden_rate} outside [0, 1)")
 
 
-@dataclass(frozen=True)
 class Counts:
     """Measurement outcome histogram; keys follow the rightmost-is-qubit-0 rule.
 
-    ``shots`` is computed: the sum of the counts.
+    Held as packed words: ``words`` are the distinct outcomes (measured qubit
+    i at bit i, uint64), ``word_counts`` their counts (int64) and ``width``
+    the number of measured qubits.  ``counts``, the {bitstring: count}
+    mapping, is formatted from them when first read; ``Counts(mapping)``
+    parses its strings into the same words.  ``shots`` is the sum of the
+    counts.
     """
 
-    counts: Mapping[str, int]
-    shots: int = field(init=False, compare=False)
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        widths = {len(k) for k in self.counts}
+    def __init__(self, counts: Mapping[str, int]) -> None:
+        widths = {len(k) for k in counts}
         if len(widths) > 1:
             raise ValueError("outcome strings differ in width")
-        if any(c < 0 for c in self.counts.values()):
+        if any(k.strip("01") for k in counts):
+            raise ValueError("outcome strings must be bitstrings")
+        ns = [operator.index(n) for n in counts.values()]
+        if any(n < 0 for n in ns):
             raise ValueError("negative count")
-        object.__setattr__(self, "counts", dict(self.counts))
-        object.__setattr__(self, "shots", sum(self.counts.values()))
+        width = widths.pop() if widths else 0
+        if width > _MAX_MEASURED:
+            raise ValueError(f"at most {_MAX_MEASURED} measured qubits supported")
+        self._hold(np.array([int(k, 2) if k else 0 for k in counts], dtype=np.uint64),
+                   np.array(ns, dtype=np.int64), width)
+        self.__dict__["counts"] = dict(zip(counts, ns))
+
+    @classmethod
+    def _from_words(cls, words: np.ndarray, word_counts: np.ndarray, width: int) -> Counts:
+        """Counts of distinct packed ``words`` seen ``word_counts`` times each.
+
+        The arrays are kept, not copied, and made read-only.
+        """
+        pooled = cls.__new__(cls)
+        pooled._hold(words, word_counts, width)
+        return pooled
+
+    def _hold(self, words: np.ndarray, word_counts: np.ndarray, width: int) -> None:
+        words.flags.writeable = word_counts.flags.writeable = False
+        self.__dict__.update(words=words, word_counts=word_counts, width=width,
+                             shots=int(word_counts.sum()))
+
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        return {format(v, f"0{self.width}b") if self.width else "": n
+                for v, n in zip(self.words.tolist(), self.word_counts.tolist())}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Counts is immutable: cannot set {name}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Counts):
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __repr__(self) -> str:
+        return f"Counts({self.counts!r})"
 
     def probabilities(self) -> dict[str, float]:
+        if not self.shots:
+            raise ValueError("empty counts")
         return {k: v / self.shots for k, v in self.counts.items()}
 
 
-def _schedule(circuit: TranspiledCircuit, noise: NoiseSpec):
-    """Sites, true flip probabilities and target bits of the circuit's flip rows.
+def _flip_probs(circuit: TranspiledCircuit, noise: NoiseSpec) -> np.ndarray:
+    """True flip probability of each of the circuit's flip rows.
 
-    Sites are an (n, 3) array of (op index, sub-op, register); with a seed
-    they give the stream keys.
+    Each key of ``circuit.error_keys`` is priced once, and each row reads its
+    key's price plus the hidden rate.
     """
     if len(circuit.measured) > _MAX_MEASURED:
         raise ValueError(f"at most {_MAX_MEASURED} measured qubits supported")
-    rate = {key: noise.true_profile.rate_for(key) for key in circuit.error_keys}
-    probs = [rate[key] + noise.hidden_rate for _, _, key in circuit.flips]
-    for p, (site, _, _) in zip(probs, circuit.flips):
-        if p >= 1.0:
-            raise ValueError(f"effective flip probability {p} at op {site[0]} not < 1")
-    return (np.array([site for site, _, _ in circuit.flips], dtype=np.int64).reshape(-1, 3),
-            np.array(probs, dtype=np.float64),
-            np.array([bit for _, bit, _ in circuit.flips], dtype=np.int64))
+    rates = np.array([noise.true_profile.rate_for(key) for key in circuit.error_keys],
+                     dtype=np.float64) + noise.hidden_rate
+    probs = rates[circuit.flip_slots]
+    bad = np.flatnonzero(probs >= 1.0)
+    if len(bad):
+        row = bad[0]
+        raise ValueError(f"effective flip probability {probs[row].item()} at op "
+                         f"{circuit.flip_sites[row, 0]} not < 1")
+    return probs
 
 
 def execute(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int, seed: int) -> Counts:
@@ -105,9 +156,9 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
     """Pool several executions with per-round derived seeds (round r uses
     ``offset_seed(seed, r)``, i.e. seed + r).
 
-    The seed is checked first.  The circuit is checked, scheduled and given
-    its flip thresholds once; each round derives only its keys and samples,
-    and the pooled words are counted in one pass.
+    The seed is checked first.  The circuit is checked, priced and given its
+    flip thresholds once, every round's stream keys are derived at once, each
+    round samples, and the pooled words are counted in one pass.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
@@ -115,16 +166,14 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
         raise ValueError("shots must be positive")
     seeds = [offset_seed(seed, r) for r in range(rounds)]
     require_fit(circuit, noise.true_profile)
-    sites, probs, bits = _schedule(circuit, noise)
-    thresholds = flip_thresholds(probs)
+    thresholds = flip_thresholds(_flip_probs(circuit, noise))
     width = len(circuit.measured)
     ideal = int(circuit.ideal_output, 2) if width else 0
+    keys = salted_keys(seeds, circuit.flip_salts)
     packed = np.concatenate([
-        get_sampler()(ideal, stream_keys(s, sites), thresholds, bits, shots) for s in seeds])
-    values, ns = np.unique(packed, return_counts=True)
-    pooled = {format(v, f"0{width}b") if width else "": n
-              for v, n in zip(values.tolist(), ns.tolist())}
-    return Counts(pooled)
+        get_sampler()(ideal, round_keys, thresholds, circuit.flip_bits, shots)
+        for round_keys in keys])
+    return Counts._from_words(*np.unique(packed, return_counts=True), width)
 
 
 def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:
@@ -135,23 +184,26 @@ def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:
     qubit's opportunities.
     """
     require_fit(circuit, noise.true_profile)
-    _, probs, bits = _schedule(circuit, noise)
     parity = [1.0] * len(circuit.measured)
-    for p, bit in zip(probs.tolist(), bits.tolist()):
+    for p, bit in zip(_flip_probs(circuit, noise).tolist(), circuit.flip_bits.tolist()):
         parity[bit] *= 1.0 - 2.0 * p
     return Fingerprint(tuple((1.0 + x) / 2.0 for x in parity))
 
 
 def survival_from_counts(counts: Counts, ideal_output: str) -> Fingerprint:
-    """Per-qubit marginal survival: fraction of shots whose bit i came out ideal."""
+    """Per-qubit marginal survival: fraction of shots whose bit i came out ideal.
+
+    Bit i's mismatches are counted over the distinct outcome words, and its
+    survival is (shots - mismatches) / shots.
+    """
     if not counts.shots:
         raise ValueError("empty counts")
-    width = len(next(iter(counts.counts)))
+    width = counts.width
     if width != len(ideal_output):
         raise ValueError("ideal_output width does not match outcome strings")
-    survivals = []
-    for i in range(width):
-        good = sum(n for outcome, n in counts.counts.items()
-                   if bit_at(outcome, i) == bit_at(ideal_output, i))
-        survivals.append(good / counts.shots)
-    return Fingerprint(tuple(survivals))
+    if ideal_output.strip("01"):
+        raise ValueError("ideal_output must be a bitstring")
+    wrong = counts.words ^ np.uint64(int(ideal_output, 2) if width else 0)
+    mismatched = (wrong[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)
+    flipped = counts.word_counts @ mismatched.astype(np.int64)
+    return Fingerprint(tuple((counts.shots - n) / counts.shots for n in flipped.tolist()))

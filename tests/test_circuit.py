@@ -7,6 +7,7 @@ routed circuit must stay a point mass on the ideal output.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +110,30 @@ def test_circuit_lists_its_distinct_error_keys_in_first_use_order():
            TranspiledOp(Gate.MEASURE, (1,)))
     assert TranspiledCircuit(2, ops, {0: 0}, (0,), "0").error_keys == \
         (("cnot", (0, 1)), ("meas", 1))
+
+
+def test_flip_arrays_hold_the_flip_rows():
+    ring = Topology(8, [(i, (i + 1) % 8) for i in range(8)])
+    circuits = [
+        transpile(build_bv("1"), line(3), [0, 2]),
+        compose_probe([("101", [0, 2, 4, 1]), ("11", [7, 9, 8])], line(10)),
+        compose_probe([("1101", [0, 4, 2, 6, 1])], ring),
+        TranspiledCircuit(1, (), {}, (), ""),
+    ]
+    for circ in circuits:
+        assert circ.flip_sites.dtype == circ.flip_bits.dtype == circ.flip_slots.dtype == np.int64
+        assert circ.flip_sites.shape == (len(circ.flips), 3)
+        assert circ.flip_sites.tolist() == [list(site) for site, _, _ in circ.flips]
+        assert circ.flip_bits.tolist() == [bit for _, bit, _ in circ.flips]
+        assert [circ.error_keys[i] for i in circ.flip_slots.tolist()] == \
+            [key for _, _, key in circ.flips]
+        gamma = 0x9E3779B97F4A7C15
+        assert circ.flip_salts.dtype == np.uint64
+        assert circ.flip_salts.tolist() == [
+            [(op * 4 + sub + 1) * gamma % 2**64 for (op, sub, _), _, _ in circ.flips],
+            [(register + 1) * gamma % 2**64 for (_, _, register), _, _ in circ.flips]]
+        for array in (circ.flip_sites, circ.flip_bits, circ.flip_slots, circ.flip_salts):
+            assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

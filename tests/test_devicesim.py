@@ -32,16 +32,19 @@ from qprobe import (
 from qprobe._flipcore import (
     _GAMMA,
     _TILE,
+    _mix64,
     _mix64_np,
     compiled_sampler,
     offset_seed,
     flip_thresholds,
     get_sampler,
+    salted_keys,
     sample_packed_numpy,
     stream_keys,
+    stream_salts,
 )
-from qprobe.circuit import Gate, TranspiledCircuit, TranspiledOp, build_bv, transpile
-from qprobe.devicesim import _schedule
+from qprobe.circuit import Gate, TranspiledCircuit, TranspiledOp, bit_at, build_bv, transpile
+from qprobe.devicesim import _flip_probs
 
 
 def single_qubit_circuit() -> TranspiledCircuit:
@@ -70,6 +73,18 @@ def test_stream_keys_are_frozen():
     assert stream_keys(2**64 - 1, [(3, 2, 5), (0, 0, 0)]).tolist() == \
         [0xD79CB2ACCA3824B9, stream_keys(-1, [(0, 0, 0)])[0]]
 
+
+
+def test_salted_keys_match_stream_keys_for_every_seed():
+    sites = [(0, 0, 0), (2, 1, 7), (17, 2, 126), (3, 2, 5)]
+    seeds = [0, 1, 42, 2**64 - 1, -1, -2**63]
+    keys = salted_keys(seeds, stream_salts(sites))
+    assert keys.dtype == np.uint64 and keys.shape == (len(seeds), len(sites))
+    for seed, row in zip(seeds, keys):
+        assert row.tolist() == stream_keys(seed, sites).tolist()
+    words = np.random.default_rng(3).integers(0, 2**64, 50, dtype=np.uint64)
+    assert [_mix64(w) for w in words.tolist()] == _mix64_np(words.copy()).tolist()
+    assert salted_keys([5], stream_salts(np.empty((0, 3)))).shape == (1, 0)
 
 
 def test_stream_keys_accept_exactly_the_64_bit_seeds():
@@ -196,9 +211,9 @@ def kernel(request):
 def test_compiled_and_numpy_kernels_agree(flipcore_c):
     rng = np.random.default_rng(13)
     circ, noise = fleetgen.random_fixture(rng)
-    sites, probs, bits = _schedule(circ, noise)
     ideal = int(circ.ideal_output, 2) if circ.ideal_output else 0
-    args = (ideal, stream_keys(31, sites), flip_thresholds(probs), bits, 20000)
+    args = (ideal, stream_keys(31, circ.flip_sites), flip_thresholds(_flip_probs(circ, noise)),
+            circ.flip_bits, 20000)
     compiled = compiled_sampler(flipcore_c)(*args)
     assert compiled.dtype == np.uint64
     assert np.array_equal(sample_packed_numpy(*args), compiled)
@@ -240,19 +255,26 @@ def per_event_sampler(ideal: int, keys: np.ndarray, probs: np.ndarray,
 EDGE_PROBS = (0.0, 5e-324, 2.0 ** -1060, 1.0 - 2.0 ** -53, 0.5)
 
 
-ORACLE_CASES = pytest.mark.parametrize("events, shots", [
-    (0, 1), (0, 37), (1, 1), (9, 1), (40, 3), (70, 500), (50, 4000), (30, 4099),
-    (5, _TILE), (6, _TILE + 1),
+# bits 0 and 63 interleaved with others, in no order
+FEW_BITS = (63, 0, 5, 0, 63, 17)
+# every bit of the word, unsorted, so one tile holds many bit runs
+ALL_BITS = tuple(np.random.default_rng(64).permutation(64).tolist())
+
+ORACLE_CASES = pytest.mark.parametrize("events, shots, bit_pool", [
+    *(pytest.param(events, shots, FEW_BITS, id=f"{events}-{shots}") for events, shots in (
+        (0, 1), (0, 37), (1, 1), (9, 1), (40, 3), (70, 500), (50, 4000), (30, 4099),
+        (5, _TILE), (6, _TILE + 1))),
+    pytest.param(200, 100, ALL_BITS, id="200-100-all-bits"),
+    pytest.param(300, 4000, ALL_BITS, id="300-4000-all-bits"),
 ])
 
 
-def assert_matches_the_per_event_oracle(kernel, events, shots):
+def assert_matches_the_per_event_oracle(kernel, events, shots, bit_pool):
     rng = np.random.default_rng([events, shots])
     keys = rng.integers(0, 2**64, events, dtype=np.uint64)
     probs = np.where(rng.random(events) < 0.5, rng.choice(EDGE_PROBS, events),
                      rng.random(events) * 0.2)
-    # bits 0 and 63 interleaved with others, in no order
-    bits = rng.choice([63, 0, 5, 0, 63, 17], events).astype(np.int64)
+    bits = rng.choice(bit_pool, events).astype(np.int64)
     ideal = int(rng.integers(0, 2**64, dtype=np.uint64))
     out = kernel(ideal, keys, flip_thresholds(probs), bits, shots)
     assert out.dtype == np.uint64 and out.shape == (shots,)
@@ -260,13 +282,13 @@ def assert_matches_the_per_event_oracle(kernel, events, shots):
 
 
 @ORACLE_CASES
-def test_numpy_kernel_matches_the_per_event_oracle(events, shots):
-    assert_matches_the_per_event_oracle(sample_packed_numpy, events, shots)
+def test_numpy_kernel_matches_the_per_event_oracle(events, shots, bit_pool):
+    assert_matches_the_per_event_oracle(sample_packed_numpy, events, shots, bit_pool)
 
 
 @ORACLE_CASES
-def test_compiled_kernel_matches_the_per_event_oracle(flipcore_c, events, shots):
-    assert_matches_the_per_event_oracle(compiled_sampler(flipcore_c), events, shots)
+def test_compiled_kernel_matches_the_per_event_oracle(flipcore_c, events, shots, bit_pool):
+    assert_matches_the_per_event_oracle(compiled_sampler(flipcore_c), events, shots, bit_pool)
 
 
 def assert_strict_at_the_53_bit_boundary(kernel):
@@ -306,6 +328,8 @@ def test_survival_marginals_from_counts():
         survival_from_counts(Counts({}), "1")
     with pytest.raises(ValueError, match="empty"):
         survival_from_counts(Counts({"1": 0}), "1")
+    with pytest.raises(ValueError, match="bitstring"):
+        survival_from_counts(counts, "1x")
 
 
 def test_counts_validation():
@@ -316,6 +340,60 @@ def test_counts_validation():
     assert Counts({"0": 1, "1": 3}).shots == 4
     assert Counts({}).shots == 0
     assert Counts({"0": 1, "1": 3}).probabilities() == {"0": 0.25, "1": 0.75}
+    for bad in ({"0b1": 1}, {" 1": 1}, {"1_0": 1}, {"12": 1}):
+        with pytest.raises(ValueError, match="bitstrings"):
+            Counts(bad)
+    with pytest.raises(ValueError, match="at most 64"):
+        Counts({"1" * 65: 1})
+    with pytest.raises(TypeError):
+        Counts({"1": 1.5})
+    with pytest.raises(AttributeError, match="immutable"):
+        Counts({"1": 1}).shots = 2
+    for empty in (Counts({}), Counts({"1": 0}), Counts({"01": 0, "10": 0})):
+        with pytest.raises(ValueError, match="empty counts"):
+            empty.probabilities()
+
+
+def survival_by_string_fold(counts: Counts, ideal_output: str) -> tuple[float, ...]:
+    """Oracle: per bit, the counts of the outcome strings whose character
+    matches the ideal one, over all shots."""
+    return tuple(
+        sum(n for outcome, n in counts.counts.items()
+            if bit_at(outcome, i) == bit_at(ideal_output, i)) / counts.shots
+        for i in range(len(ideal_output)))
+
+
+def test_survivals_from_words_equal_the_string_fold():
+    rng = np.random.default_rng(7)
+    for trial in range(12):
+        circ, noise = fleetgen.random_fixture(rng)
+        noise = NoiseSpec(noise.true_profile, hidden_rate=0.1)
+        pooled = run_rounds(circ, noise, shots=700, rounds=3, seed=trial)
+        want = survival_by_string_fold(pooled, circ.ideal_output)
+        assert survival_from_counts(pooled, circ.ideal_output).survivals == want
+        assert survival_from_counts(Counts(pooled.counts), circ.ideal_output).survivals == want
+        # against another reference outcome, so most bits mismatch
+        flipped = "".join("10"[int(c)] for c in circ.ideal_output)
+        assert survival_from_counts(pooled, flipped).survivals == \
+            survival_by_string_fold(pooled, flipped)
+
+
+def test_counts_from_strings_and_from_words_agree():
+    rng = np.random.default_rng(7)
+    circ, noise = fleetgen.random_fixture(rng)
+    pooled = run_rounds(circ, NoiseSpec(noise.true_profile, hidden_rate=0.2),
+                        shots=300, rounds=2, seed=4)
+    parsed = Counts(pooled.counts)
+    assert len(parsed.counts) == len(pooled.counts) > 1
+    assert parsed.counts == pooled.counts
+    assert parsed.shots == pooled.shots == 600
+    assert parsed == pooled
+    assert parsed.width == pooled.width == len(circ.measured)
+    assert dict(zip(parsed.words.tolist(), parsed.word_counts.tolist())) == \
+        dict(zip(pooled.words.tolist(), pooled.word_counts.tolist()))
+    # a probe measuring no qubit pools every shot under the empty outcome
+    assert Counts({"": 5}).counts == {"": 5}
+    assert survival_from_counts(Counts({"": 5}), "").survivals == ()
 
 
 def test_execute_argument_checks():
