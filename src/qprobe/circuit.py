@@ -5,12 +5,12 @@ character of a rendered outcome string, matching the usual little-endian
 rendering of counts dictionaries.
 
 The op walk (`walk_ops`) is the single source of truth for which error
-opportunities touch which qubit.  A circuit is walked once, when it is built.
-The estimator, the parity oracle and the sampler all read its measured-qubit
-rows, ``flips``, so they agree; fit checks and prices read ``error_keys``.
-The same rows are also kept as arrays for the sampler's job path:
+opportunities touch which qubit.  A circuit is walked once, when it is built,
+and keeps its measured-qubit events as one flip table of read-only arrays:
 ``flip_sites``, ``flip_bits``, ``flip_slots`` (indices into ``error_keys``)
-and ``flip_salts`` (the seed-free halves of the rows' stream keys).
+and ``flip_salts`` (the seed-free halves of the rows' stream keys).  The
+estimator, the parity oracle and the sampler all read those arrays, so they
+agree; fit checks and prices read ``error_keys``.
 """
 
 from __future__ import annotations
@@ -205,15 +205,14 @@ class TranspiledCircuit:
 
     ``initial_mapping`` maps logical qubit to physical register before any
     op; ``measured`` lists logical qubits in fingerprint order.  The
-    constructor replays the ops once, checks that each measured qubit is
-    measured exactly once, by the last op touching its register, and keeps
-    that replay in ``steps``.  Read off it are ``final_mapping`` (registers
-    after all routing SWAPs), ``error_keys`` (the ops' distinct keys, first
-    use first) and ``flips``, one row ((op index, sub-op, register),
-    fingerprint index, error key) per measured-qubit event, in walk order.
-    The rows are also held as read-only arrays: ``flip_sites`` (n x 3
-    int64), ``flip_bits`` (int64 fingerprint indices), ``flip_slots`` (int64
-    indices into ``error_keys``) and ``flip_salts`` (2 x n uint64, from
+    constructor walks the ops once and checks that each measured qubit is
+    measured exactly once, by the last op touching its register.  Read off
+    that walk are ``final_mapping`` (registers after all routing SWAPs),
+    ``error_keys`` (the ops' distinct keys, first use first) and the flip
+    table, one row per measured-qubit event in walk order, held as read-only
+    arrays: ``flip_sites`` (n x 3 int64: op index, sub-op, register),
+    ``flip_bits`` (int64 fingerprint indices), ``flip_slots`` (int64 indices
+    into ``error_keys``) and ``flip_salts`` (2 x n uint64, from
     ``_flipcore.stream_salts``).
     """
 
@@ -224,8 +223,6 @@ class TranspiledCircuit:
     ideal_output: str
     final_mapping: dict[int, int] = field(init=False, compare=False)
     error_keys: tuple[tuple, ...] = field(init=False, compare=False)
-    steps: tuple[WalkStep, ...] = field(init=False, compare=False, repr=False)
-    flips: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
     flip_sites: np.ndarray = field(init=False, compare=False, repr=False)
     flip_bits: np.ndarray = field(init=False, compare=False, repr=False)
     flip_slots: np.ndarray = field(init=False, compare=False, repr=False)
@@ -250,19 +247,17 @@ class TranspiledCircuit:
             raise CircuitError("ideal_output must be a bitstring")
         object.__setattr__(self, "final_mapping",
                            dict(steps[-1].locations if steps else self.initial_mapping))
-        object.__setattr__(self, "steps", steps)
         error_keys = tuple(dict.fromkeys(op.error_key for op in self.ops))
         object.__setattr__(self, "error_keys", error_keys)
         bit_of = {q: i for i, q in enumerate(self.measured)}
-        flips = tuple(((ev.op_index, ev.sub, ev.register), bit_of[ev.logical], ev.error_key)
-                      for step in steps for ev in step.events if ev.logical in bit_of)
-        object.__setattr__(self, "flips", flips)
         slot_of = {key: i for i, key in enumerate(error_keys)}
-        sites = np.array([site for site, _, _ in flips], dtype=np.int64).reshape(-1, 3)
+        events = [ev for step in steps for ev in step.events if ev.logical in bit_of]
+        sites = np.array([(ev.op_index, ev.sub, ev.register) for ev in events],
+                         dtype=np.int64).reshape(-1, 3)
         for name, array in (
                 ("flip_sites", sites),
-                ("flip_bits", np.array([bit for _, bit, _ in flips], dtype=np.int64)),
-                ("flip_slots", np.array([slot_of[key] for _, _, key in flips], dtype=np.int64)),
+                ("flip_bits", np.array([bit_of[ev.logical] for ev in events], dtype=np.int64)),
+                ("flip_slots", np.array([slot_of[ev.error_key] for ev in events], np.int64)),
                 ("flip_salts", stream_salts(sites))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -271,12 +266,12 @@ class TranspiledCircuit:
 def walk_ops(circuit: TranspiledCircuit) -> Iterator[WalkStep]:
     """Per-op flip events and locations of a transpiled circuit.
 
-    Reads the walk stored when the circuit was built.  A SWAP contributes
+    Walks ``circuit.ops`` anew on each call; jobs never do.  A SWAP contributes
     three events (its constituent CNOTs) to each tracked qubit it touches and
     then exchanges their locations; a MEASURE contributes one event at the
     qubit's final register.
     """
-    return iter(circuit.steps)
+    return _walk(circuit.ops, circuit.initial_mapping)
 
 
 def build_bv(secret: str) -> LogicalCircuit:

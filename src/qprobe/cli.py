@@ -90,7 +90,7 @@ class ProbeSpec:
             topology = cloud.get_profile(device_id).topology
             try:
                 return compose_probe(self.subprobes, topology), device_id
-            except (CircuitError, KeyError) as exc:
+            except CircuitError as exc:
                 failures.append(f"{device_id}: {exc}")
         raise CommandError("probe fits no fleet device; " + "; ".join(failures))
 

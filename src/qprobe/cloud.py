@@ -108,19 +108,28 @@ class JobResult:
 class QuantumCloud:
     """Synchronous in-process stand-in for a cloud provider."""
 
-    def __init__(self, attack: AttackConfig | None = None):
+    def __init__(self) -> None:
         self._catalog: dict[str, CatalogEntry] = {}
-        self._attack = attack or AttackConfig.honest()
+        self._attack = AttackConfig.honest()
+        self._forged: dict[str, DeviceProfile] = {}
 
     @property
     def attack(self) -> AttackConfig:
         return self._attack
 
     def set_attack(self, attack: AttackConfig) -> None:
+        """The one way to mount an attack; a fabrication is forged here, once.
+
+        KeyError (unknown device) or ProfileError (bad forgery) keeps the old attack.
+        """
         for name in (attack.victim, attack.actual, attack.device_id):
             if name is not None and name not in self._catalog:
                 raise KeyError(f"attack references unknown device {name!r}")
-        self._attack = attack
+        forged = {}
+        if attack.mode == "fabrication":
+            forged[attack.device_id] = fabricate(self._catalog[attack.device_id].advertised,
+                                                 scale=attack.scale, overrides=attack.overrides)
+        self._attack, self._forged = attack, forged
 
     def device_ids(self) -> list[str]:
         return sorted(self._catalog)
@@ -131,13 +140,10 @@ class QuantumCloud:
         self._catalog[entry.device_id] = entry
 
     def get_profile(self, device_id: str) -> DeviceProfile:
-        """Advertised profile, doctored when a fabrication attack targets it."""
-        entry = self._entry(device_id)
-        attack = self._attack
-        if attack.mode == "fabrication" and attack.device_id == device_id:
-            return fabricate(entry.advertised, scale=attack.scale,
-                             overrides=attack.overrides)
-        return entry.advertised
+        """Advertised profile, or the one ``set_attack`` forged for the device."""
+        if device_id in self._forged:
+            return self._forged[device_id]
+        return self._entry(device_id).advertised
 
     def submit(self, device_id: str, circuit: TranspiledCircuit, shots: int,
                rounds: int, seed: int) -> JobResult:
@@ -146,8 +152,7 @@ class QuantumCloud:
         Raises TopologyError (from ``run_rounds``) when the circuit does not
         fit the device that would actually execute it.
         """
-        entry = self._entry(device_id)
-        target = entry
+        target = self._entry(device_id)
         attack = self._attack
         if attack.mode == "substitution" and attack.victim == device_id:
             target = self._entry(attack.actual)

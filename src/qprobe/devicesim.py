@@ -8,12 +8,11 @@ more at the measurement register.  This yields the closed-form parity
 oracle in `exact_survival`: a bit survives when an even number of its flip
 opportunities fire.
 
-Flip opportunities mirror the user-side estimator's exactly: the estimator
-reads the rows ``circuit.flips`` and a job reads the same rows as the
-circuit's arrays (``flip_slots``, ``flip_bits``, ``flip_salts``); both price
-each key of ``circuit.error_keys`` once.  A job's outcomes stay packed words:
-``Counts`` keeps the distinct words and their counts, formats its
-``counts`` strings only when they are first read, and
+Flip opportunities mirror the user-side estimator's exactly: both read the
+circuit's one flip table and price it with ``estimator.key_rates``, and the
+parity oracle folds it with ``estimator.fold_flips``.  A job's outcomes stay
+packed words: ``Counts`` keeps the distinct words and their counts, formats
+its ``counts`` strings only when they are first read, and
 ``survival_from_counts`` reads the words.
 """
 
@@ -29,7 +28,7 @@ import numpy as np
 from ._flipcore import flip_thresholds, get_sampler, offset_seed, salted_keys
 from .circuit import TranspiledCircuit
 from .device import DeviceProfile, TopologyError
-from .estimator import Fingerprint, require_fit
+from .estimator import Fingerprint, fold_flips, key_rates
 
 __all__ = [
     "NoiseSpec",
@@ -128,16 +127,12 @@ class Counts:
 
 
 def _flip_probs(circuit: TranspiledCircuit, noise: NoiseSpec) -> np.ndarray:
-    """True flip probability of each of the circuit's flip rows.
-
-    Each key of ``circuit.error_keys`` is priced once, and each row reads its
-    key's price plus the hidden rate.
-    """
+    """True flip probability of each flip row: its key's price plus the hidden
+    rate.  The fit is checked first."""
+    rates = key_rates(circuit, noise.true_profile)
     if len(circuit.measured) > _MAX_MEASURED:
         raise ValueError(f"at most {_MAX_MEASURED} measured qubits supported")
-    rates = np.array([noise.true_profile.rate_for(key) for key in circuit.error_keys],
-                     dtype=np.float64) + noise.hidden_rate
-    probs = rates[circuit.flip_slots]
+    probs = (rates + noise.hidden_rate)[circuit.flip_slots]
     bad = np.flatnonzero(probs >= 1.0)
     if len(bad):
         row = bad[0]
@@ -165,7 +160,6 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
     if shots < 1:
         raise ValueError("shots must be positive")
     seeds = [offset_seed(seed, r) for r in range(rounds)]
-    require_fit(circuit, noise.true_profile)
     thresholds = flip_thresholds(_flip_probs(circuit, noise))
     width = len(circuit.measured)
     ideal = int(circuit.ideal_output, 2) if width else 0
@@ -183,10 +177,7 @@ def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:
     opportunities fire, so survival is (1 + prod_k (1 - 2 p_k)) / 2 over that
     qubit's opportunities.
     """
-    require_fit(circuit, noise.true_profile)
-    parity = [1.0] * len(circuit.measured)
-    for p, bit in zip(_flip_probs(circuit, noise).tolist(), circuit.flip_bits.tolist()):
-        parity[bit] *= 1.0 - 2.0 * p
+    parity = fold_flips(circuit, 1.0 - 2.0 * _flip_probs(circuit, noise))
     return Fingerprint(tuple((1.0 + x) / 2.0 for x in parity))
 
 

@@ -5,18 +5,21 @@ probability).  Walking the transpiled ops in order, every op that touches a
 tracked qubit's register multiplies its survival by (1 - e) where e is the
 op's published error rate; a SWAP counts as its three constituent CNOTs and
 exchanges the two locations; a MEASURE applies the readout error of the
-register the qubit ends up on.  That pass is made when the circuit is built;
-an estimate prices ``circuit.error_keys`` once and folds ``circuit.flips``.
+register the qubit ends up on.  That pass is the circuit's flip table; an
+estimate prices it with ``key_rates`` and multiplies it out with ``fold_flips``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import TranspiledCircuit, walk_ops
 from .device import DeviceProfile, TopologyError, topology_compatible
 
-__all__ = ["QubitTrack", "Fingerprint", "estimate_fingerprint", "trace_survival", "require_fit"]
+__all__ = ["QubitTrack", "Fingerprint", "key_rates", "fold_flips", "estimate_fingerprint",
+           "trace_survival"]
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,20 @@ class Fingerprint:
         return self.survivals[index]
 
 
-def require_fit(circuit: TranspiledCircuit, profile: DeviceProfile) -> None:
-    """Raise TopologyError when the circuit does not fit the profile's topology."""
+def key_rates(circuit: TranspiledCircuit, profile: DeviceProfile) -> np.ndarray:
+    """Rate of each of ``circuit.error_keys``; TopologyError when the circuit
+    does not fit the profile's topology."""
     if not topology_compatible(circuit, profile.topology):
         raise TopologyError(f"circuit does not fit the topology of {profile.device_id!r}")
+    return np.array([profile.rate_for(key) for key in circuit.error_keys], dtype=np.float64)
+
+
+def fold_flips(circuit: TranspiledCircuit, factors: np.ndarray) -> list[float]:
+    """Per measured bit, the product of its flip rows' ``factors`` in row order."""
+    product = [1.0] * len(circuit.measured)
+    for factor, bit in zip(factors.tolist(), circuit.flip_bits.tolist()):
+        product[bit] *= factor
+    return product
 
 
 def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> Fingerprint:
@@ -57,12 +70,8 @@ def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> 
 
     Raises TopologyError when the circuit does not fit the profile's topology.
     """
-    require_fit(circuit, profile)
-    rate = {key: profile.rate_for(key) for key in circuit.error_keys}
-    survival = [1.0] * len(circuit.measured)
-    for _, bit, key in circuit.flips:
-        survival[bit] *= 1.0 - rate[key]
-    return Fingerprint(tuple(survival))
+    rates = key_rates(circuit, profile)
+    return Fingerprint(tuple(fold_flips(circuit, 1.0 - rates[circuit.flip_slots])))
 
 
 def trace_survival(circuit: TranspiledCircuit,
@@ -71,8 +80,7 @@ def trace_survival(circuit: TranspiledCircuit,
 
     The final snapshot's measured-qubit survivals equal estimate_fingerprint.
     """
-    require_fit(circuit, profile)
-    rate = {key: profile.rate_for(key) for key in circuit.error_keys}
+    rate = dict(zip(circuit.error_keys, key_rates(circuit, profile).tolist()))
     survival = {q: 1.0 for q in circuit.initial_mapping}
     snapshots = [(-1, circuit.initial_mapping, dict(survival))]
     for step in walk_ops(circuit):

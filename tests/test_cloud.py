@@ -23,11 +23,11 @@ from qprobe import (
     run_rounds,
 )
 from qprobe.circuit import TranspiledCircuit, build_bv, compose_probe, transpile
-from qprobe.device import DeviceProfile
+from qprobe.device import DeviceProfile, ProfileError
 
 
-def corner_cloud(attack: AttackConfig | None = None) -> QuantumCloud:
-    cloud = QuantumCloud(attack)
+def corner_cloud() -> QuantumCloud:
+    cloud = QuantumCloud()
     for prof in fleetgen.corner_profiles():
         cloud.register(CatalogEntry(prof.device_id, prof, NoiseSpec(prof)))
     return cloud
@@ -90,6 +90,23 @@ def test_set_attack_requires_known_devices():
         cloud.set_attack(AttackConfig.substitution("alpine", "mirage"))
     cloud.set_attack(AttackConfig.substitution("alpine", "boreal"))
     assert cloud.attack.mode == "substitution"
+    # set_attack is the one way to mount an attack, so no name goes unchecked
+    with pytest.raises(TypeError):
+        QuantumCloud(AttackConfig.substitution("alpine", "mirage"))
+
+
+@pytest.mark.parametrize("attack", [
+    AttackConfig.fabrication("dune", scale=2.0),
+    AttackConfig.fabrication("dune", overrides={"CNOT_(0,4)": 0.1}),
+])
+def test_a_bad_forgery_fails_when_the_attack_is_mounted(attack):
+    cloud = corner_cloud()
+    cloud.set_attack(AttackConfig.substitution("alpine", "boreal"))
+    with pytest.raises(ProfileError):
+        cloud.set_attack(attack)
+    # the attack already on stays on, and dune still advertises its own rates
+    assert cloud.attack.mode == "substitution"
+    assert cloud.get_profile("dune") is cloud.true_entry("dune").advertised
 
 
 def test_honest_submission_matches_direct_execution():
@@ -103,7 +120,8 @@ def test_honest_submission_matches_direct_execution():
 
 
 def test_substitution_reroutes_only_the_victim():
-    cloud = corner_cloud(AttackConfig.substitution("alpine", "dune"))
+    cloud = corner_cloud()
+    cloud.set_attack(AttackConfig.substitution("alpine", "dune"))
     circ = probe()
     job = cloud.submit("alpine", circ, shots=500, rounds=1, seed=1)
     on_dune = run_rounds(circ, cloud.true_entry("dune").true_noise,
@@ -189,7 +207,7 @@ def test_a_job_prices_each_error_key_once_per_side(monkeypatch):
     for cloud, circuit in ((corner_cloud(), probe()), (line, composite)):
         device_id = cloud.device_ids()[0]
         # many flip rows share a key, so pricing per row would cost more calls
-        assert len(circuit.flips) > len(circuit.error_keys)
+        assert len(circuit.flip_slots) > len(circuit.error_keys)
         priced.clear()
         estimate_fingerprint(circuit, cloud.get_profile(device_id))
         assert priced == list(circuit.error_keys)
@@ -198,10 +216,13 @@ def test_a_job_prices_each_error_key_once_per_side(monkeypatch):
 
 
 def test_fabrication_doctors_only_the_advertised_profile():
-    cloud = corner_cloud(AttackConfig.fabrication("cascade", scale=0.5))
+    cloud = corner_cloud()
+    cloud.set_attack(AttackConfig.fabrication("cascade", scale=0.5))
     seen = cloud.get_profile("cascade")
     truth = cloud.true_entry("cascade").true_noise.true_profile
     assert seen == fabricate(truth, scale=0.5)
+    # forged once, when the attack was mounted
+    assert cloud.get_profile("cascade") is seen
     assert cloud.get_profile("alpine") == cloud.true_entry("alpine").advertised
     # execution still uses the true rates
     job = cloud.submit("cascade", probe(), shots=500, rounds=1, seed=2)

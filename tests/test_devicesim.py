@@ -419,6 +419,18 @@ def test_hidden_rate_bounds_and_saturation():
         exact_survival(single_qubit_circuit(), noise)
 
 
+def test_the_fit_is_checked_before_the_flip_probabilities():
+    # a CNOT off the one-qubit device's (empty) edge set, on a register whose
+    # readout rate plus the hidden rate would reach 1 if it were priced
+    ops = (TranspiledOp(Gate.CNOT, (0, 1)), TranspiledOp(Gate.MEASURE, (0,)))
+    circ = TranspiledCircuit(2, ops, {0: 0}, (0,), "0")
+    noise = NoiseSpec(single_qubit_profile(0.6), hidden_rate=0.5)
+    with pytest.raises(TopologyError, match="does not fit"):
+        run_rounds(circ, noise, shots=10, rounds=1, seed=0)
+    with pytest.raises(TopologyError, match="does not fit"):
+        exact_survival(circ, noise)
+
+
 def test_wide_probes_are_rejected():
     n = 65
     topo = Topology(n, [])

@@ -139,9 +139,38 @@ def test_estimate_and_oracle_equal_the_per_event_fold_bit_for_bit(circuit, noise
     assert exact_survival(circuit, noise).survivals == tuple((1.0 + x) / 2.0 for x in parity)
 
 
-@pytest.mark.parametrize("circuit, noise", fold_cases())
+def hand_built_cases():
+    """The walk's corner cases: a SWAP, two composed parts, a ring, no ops."""
+    def line(n):
+        return Topology(n, [(i, i + 1) for i in range(n - 1)])
+    ring = Topology(8, [(i, (i + 1) % 8) for i in range(8)])
+    return [pytest.param(circuit, None, id=name) for name, circuit in (
+        ("swap", transpile(build_bv("1"), line(3), [0, 2])),
+        ("two-parts", compose_probe([("101", [0, 2, 4, 1]), ("11", [7, 9, 8])], line(10))),
+        ("ring", compose_probe([("1101", [0, 4, 2, 6, 1])], ring)),
+        ("empty", TranspiledCircuit(1, (), {}, (), "")),
+    )]
+
+
+@pytest.mark.parametrize("circuit, noise", fold_cases() + hand_built_cases())
 def test_flips_are_the_measured_events_of_the_walk(circuit, noise):
+    """The flip arrays are the measured events of ``walk_ops``, in walk order.
+
+    ``noise`` is unused; the cases are shared with the bit-for-bit fold test.
+    """
     bit_of = {q: i for i, q in enumerate(circuit.measured)}
-    assert circuit.flips == tuple(
-        ((ev.op_index, ev.sub, ev.register), bit_of[ev.logical], ev.error_key)
-        for step in walk_ops(circuit) for ev in step.events if ev.logical in bit_of)
+    events = [ev for step in walk_ops(circuit) for ev in step.events if ev.logical in bit_of]
+    assert circuit.flip_sites.shape == (len(events), 3)
+    assert circuit.flip_sites.tolist() == [[ev.op_index, ev.sub, ev.register] for ev in events]
+    assert circuit.flip_bits.tolist() == [bit_of[ev.logical] for ev in events]
+    assert [circuit.error_keys[i] for i in circuit.flip_slots.tolist()] == \
+        [ev.error_key for ev in events]
+    gamma = 0x9E3779B97F4A7C15
+    assert circuit.flip_salts.tolist() == [
+        [(ev.op_index * 4 + ev.sub + 1) * gamma % 2**64 for ev in events],
+        [(ev.register + 1) * gamma % 2**64 for ev in events]]
+    for array in (circuit.flip_sites, circuit.flip_bits, circuit.flip_slots):
+        assert array.dtype == np.int64
+    assert circuit.flip_salts.dtype == np.uint64
+    for array in (circuit.flip_sites, circuit.flip_bits, circuit.flip_slots, circuit.flip_salts):
+        assert not array.flags.writeable
