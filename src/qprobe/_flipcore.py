@@ -19,13 +19,27 @@ keeps two seed-free salts per event (``stream_salts``): (op * 4 + sub + 1) *
 gamma and (register + 1) * gamma.  ``salted_keys`` mixes each seed once and
 then salts and mixes all of a circuit's events at once.
 
-The numpy kernel stable-sorts the events by target bit and cuts the sorted
-list into tiles of events x shots of about ``_TILE`` words, so a tile may
-span several bits.  It mixes each tile at once and xor-reduces the tile's
-hits of each bit run inside it into that bit's parity row; a run's row is
-applied to the packed words once, where the run ends.  A call costs a few
-numpy operations per tile plus a few per bit run, not per event, and its
-memory is O(shots) plus two tiles.
+The numpy kernel mixes tiles of events x shots of about ``_TILE`` words at
+once, using two exact identities of the finalizer, whose steps are
+z ^= z >> 30, z *= MIX1, z ^= z >> 27, z *= MIX2, z ^= z >> 31:
+
+(a) The first step is linear over xor, so for x = k ^ s * gamma it equals
+    (k ^ k >> 30) ^ (s * gamma ^ (s * gamma) >> 30).  Each call computes
+    the per-event and the per-shot half once; a tile starts with one
+    broadcast xor and goes straight to the first multiply.
+(b) The last step keeps the top 31 bits of z, so u < t implies
+    z <= t | (2**33 - 1), a ceiling that never overflows.  After the second
+    multiply one comparison screens the tile: against each event's ceiling,
+    or against the highest where a tile's ceilings lie within 2**59 of each
+    other, since numpy compares with one scalar about twice as fast.  Only
+    the few draws at or under the ceiling, the candidates, take the last
+    step and the exact test u < t; each hit xors its bit into its shot's
+    word.
+
+Xor does not depend on order, so events need no sorting.  Candidates are
+pooled across tiles and finished whenever the pool reaches ``_TILE`` and
+once at the end, so a call's memory is O(shots) plus a few tiles, whatever
+its number of events.
 """
 
 from __future__ import annotations
@@ -39,7 +53,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_TILE = 1 << 15  # words per events x shots tile of the numpy kernel
+_TILE = 1 << 16  # words per events x shots tile of the numpy kernel
 
 
 def _mix64_np(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -133,41 +147,51 @@ def sample_packed_numpy(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
 
     ``keys`` are uint64 stream keys, ``thresholds`` the uint64 flip
     thresholds from ``flip_thresholds`` and ``bits`` the target bit of each
-    event.
+    event, in [0, 64).  Its memory is O(shots) plus a few tiles of ``_TILE``
+    words, whatever the number of events.
     """
     if not len(keys) == len(thresholds) == len(bits):
         raise ValueError(f"{len(keys)} keys, {len(thresholds)} thresholds and "
                          f"{len(bits)} bits: need one of each per event")
-    salts = np.arange(shots, dtype=np.uint64) * np.uint64(_GAMMA)
+    bits = np.asarray(bits, dtype=np.int64)
+    if len(bits) and not 0 <= bits.min() <= bits.max() < 64:
+        raise ValueError(f"target bits must lie in [0, 64), got {bits.min()}..{bits.max()}")
     out = np.full(shots, ideal, dtype=np.uint64)
-    if len(keys) == 0:
+    if len(keys) == 0 or shots == 0:
         return out
-    order = np.argsort(bits, kind="stable")
-    keys = keys[order]
-    thresholds = thresholds[order]
-    bits = bits[order]
-    cuts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
-    starts, ends = [0, *cuts], [*cuts, len(keys)]  # the bit runs
+    # (a): the first step of mix64(k ^ s * gamma), split into its two halves
+    salts = np.arange(shots, dtype=np.uint64) * np.uint64(_GAMMA)
+    salts ^= salts >> np.uint64(30)
+    halves = keys ^ (keys >> np.uint64(30))
+    # (b): u < t implies z <= t | (2**33 - 1), z the word before the last step
+    ceilings = thresholds | np.uint64((1 << 33) - 1)
+    masks = np.uint64(1) << bits.astype(np.uint64)
     step = min(max(1, _TILE // shots), len(keys))
     words, scratch = np.empty((2, step, shots), dtype=np.uint64)
-    flips = np.empty((step, shots), dtype=bool)
-    targets = bits[starts].tolist()
-    run, carry = 0, None  # carry: parity so far of a run that spans tiles
-    for lo in range(0, len(keys), step):
+    screen = np.empty((step, shots), dtype=bool)
+    # a narrow tile, with ceilings within 2**59 of each other, is screened
+    # against their highest: a few more candidates, but a scalar comparison
+    starts = np.arange(0, len(keys), step)
+    tops = np.maximum.reduceat(ceilings, starts)
+    narrow = tops - np.minimum.reduceat(ceilings, starts) < np.uint64(1 << 59)
+    pool_z, pool_at, pooled = [], [], 0  # candidates not yet finished
+    for lo, top, one_top in zip(starts.tolist(), tops, narrow.tolist()):
         hi = min(lo + step, len(keys))
-        tile = np.bitwise_xor(keys[lo:hi, None], salts, out=words[:hi - lo])
-        _mix64_np(tile, scratch[:hi - lo])
-        hit = np.less(tile, thresholds[lo:hi, None], out=flips[:hi - lo])
-        while run < len(starts) and starts[run] < hi:  # the runs inside this tile
-            first, stop = max(starts[run], lo) - lo, min(ends[run], hi) - lo
-            parity = np.bitwise_xor.reduce(hit[first:stop], axis=0)
-            if starts[run] < lo:
-                parity ^= carry
-            if ends[run] > hi:
-                carry = parity
-                break
-            out ^= parity.astype(np.uint64) << np.uint64(targets[run])
-            run += 1
+        z = np.bitwise_xor(halves[lo:hi, None], salts, out=words[:hi - lo])
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=scratch[:hi - lo])
+        z *= np.uint64(_MIX2)
+        bound = top if one_top else ceilings[lo:hi, None]
+        at = np.flatnonzero(np.less_equal(z, bound, out=screen[:hi - lo]))
+        if len(at):
+            pool_z.append(z.ravel()[at])
+            pool_at.append(at + lo * shots)
+            pooled += len(at)
+        if pooled and (pooled >= _TILE or hi == len(keys)):  # finish the candidates
+            z, (event, shot) = np.concatenate(pool_z), np.divmod(np.concatenate(pool_at), shots)
+            hit = z ^ (z >> np.uint64(31)) < thresholds[event]
+            np.bitwise_xor.at(out, shot[hit], masks[event[hit]])
+            pool_z, pool_at, pooled = [], [], 0
     return out
 
 

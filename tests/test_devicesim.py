@@ -11,6 +11,7 @@ makes the float test (u >> 11) * 2**-53 < p.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from qprobe import (
 )
 from qprobe._flipcore import (
     _GAMMA,
+    _MASK,
+    _MIX1,
+    _MIX2,
     _TILE,
     _mix64,
     _mix64_np,
@@ -228,6 +232,20 @@ def test_kernels_reject_mismatched_lengths(kernel, lengths):
         kernel(0, keys, thresholds, bits, 5)
 
 
+@pytest.mark.parametrize("bit", [-1, 64, 65, 2**40])
+def test_kernels_reject_target_bits_outside_the_word(kernel, bit):
+    keys = thresholds = np.zeros(2, dtype=np.uint64)
+    with pytest.raises(ValueError):
+        kernel(0, keys, thresholds, np.array([0, bit], dtype=np.int64), 5)
+
+
+@pytest.mark.parametrize("events", [0, 3])
+def test_kernels_return_no_words_for_no_shots(kernel, events):
+    keys = thresholds = np.full(events, 2**63, dtype=np.uint64)
+    out = kernel(5, keys, thresholds, np.zeros(events, dtype=np.int64), 0)
+    assert out.dtype == np.uint64 and out.shape == (0,)
+
+
 def test_c_kernel_rejects_a_mismatched_out_buffer_and_bad_bits(flipcore_c):
     keys = thresholds = np.zeros(2, dtype=np.uint64)
     bits = np.zeros(2, dtype=np.int64)
@@ -257,13 +275,13 @@ EDGE_PROBS = (0.0, 5e-324, 2.0 ** -1060, 1.0 - 2.0 ** -53, 0.5)
 
 # bits 0 and 63 interleaved with others, in no order
 FEW_BITS = (63, 0, 5, 0, 63, 17)
-# every bit of the word, unsorted, so one tile holds many bit runs
+# every bit of the word, unsorted, so one tile holds events of many bits
 ALL_BITS = tuple(np.random.default_rng(64).permutation(64).tolist())
 
 ORACLE_CASES = pytest.mark.parametrize("events, shots, bit_pool", [
     *(pytest.param(events, shots, FEW_BITS, id=f"{events}-{shots}") for events, shots in (
         (0, 1), (0, 37), (1, 1), (9, 1), (40, 3), (70, 500), (50, 4000), (30, 4099),
-        (5, _TILE), (6, _TILE + 1))),
+        (5, _TILE // 2), (6, _TILE // 2 + 1), (5, _TILE), (6, _TILE + 1))),
     pytest.param(200, 100, ALL_BITS, id="200-100-all-bits"),
     pytest.param(300, 4000, ALL_BITS, id="300-4000-all-bits"),
 ])
@@ -316,6 +334,81 @@ def test_flip_threshold_is_strict_at_the_53_bit_boundary():
 
 def test_compiled_flip_threshold_is_strict_at_the_53_bit_boundary(flipcore_c):
     assert_strict_at_the_53_bit_boundary(compiled_sampler(flipcore_c))
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    """The x with x ^ x >> shift == y, for 64-bit words held as Python ints."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ x >> shift
+    return x
+
+
+def key_reaching(z: int, shot: int) -> int:
+    """The stream key whose draw at ``shot`` holds z after mix64's second multiply.
+
+    Every step of mix64 is invertible: the multipliers are odd, and an
+    xorshift by r is undone by repeating it 64 // r times.
+    """
+    x = z * pow(_MIX2, -1, 1 << 64) & _MASK
+    x = _unxorshift(x, 27) * pow(_MIX1, -1, 1 << 64) & _MASK
+    return _unxorshift(x, 30) ^ shot * _GAMMA & _MASK
+
+
+def screening_boundary_events() -> list[tuple[int, int]]:
+    """(z, m) pairs: a partial word z and a threshold m << 11 beside it.
+
+    z sits on the ceiling (m << 11) | (2**33 - 1), one above it, or at
+    2**64 - 1, with the final draw u on either side of the threshold,
+    including p = m * 2**-53 >= 1 - 2**-31.
+    """
+    low = (1 << 33) - 1
+    events = []
+    for top in (0, 1, 12345, 1 << 30, (1 << 31) - 1):  # z >> 33
+        z = top << 33 | low
+        m = (z ^ z >> 31) >> 11
+        events += [(z, m), (z, m + 1)]  # u at the threshold, and just below it
+        if top < (1 << 31) - 1:
+            events.append(((top + 1) << 33, (top << 33 | low) >> 11))  # ceiling + 1
+    top_u = _MASK ^ _MASK >> 31
+    events += [(_MASK, top_u >> 11), (_MASK, (top_u >> 11) + 1), (_MASK, (1 << 53) - 1)]
+    return events
+
+
+@pytest.mark.parametrize("shots", [1, 37, _TILE // 3, _TILE + 3])
+def test_kernels_are_exact_at_the_screening_boundary(kernel, shots):
+    shot = shots - 1
+    events = screening_boundary_events()
+    keys = np.array([key_reaching(z, shot) for z, _ in events], dtype=np.uint64)
+    for key, (z, _) in zip(keys.tolist(), events):
+        assert _mix64(key ^ shot * _GAMMA & _MASK) == z ^ z >> 31
+    probs = np.array([m * 2.0 ** -53 for _, m in events])
+    bits = np.arange(len(events), dtype=np.int64)
+    flipped = [(z ^ z >> 31) < m << 11 for z, m in events]
+    assert any(flipped) and not all(flipped)
+    assert max(probs) >= 1 - 2.0 ** -31
+    out = kernel(0, keys, flip_thresholds(probs), bits, shots)
+    assert [bool(int(out[shot]) >> bit & 1) for bit in bits.tolist()] == flipped
+    assert np.array_equal(out, per_event_sampler(0, keys, probs, bits, shots))
+
+
+def test_numpy_kernel_memory_does_not_grow_with_the_events():
+    """Every draw at p = 0.999 is a candidate; the pool still stays bounded."""
+    shots = 20000
+
+    def peak(events: int) -> int:
+        rng = np.random.default_rng(events)
+        keys = rng.integers(0, 2**64, events, dtype=np.uint64)
+        thresholds = flip_thresholds(np.full(events, 0.999))
+        bits = rng.integers(0, 64, events)
+        tracemalloc.start()
+        try:
+            sample_packed_numpy(0, keys, thresholds, bits, shots)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= 1.5 * peak(400)
 
 
 def test_survival_marginals_from_counts():
