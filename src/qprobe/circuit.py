@@ -4,17 +4,21 @@ Bitstring convention used throughout: measured qubit 0 is the *rightmost*
 character of a rendered outcome string, matching the usual little-endian
 rendering of counts dictionaries.
 
-The op walk (`walk_ops`) is the single source of truth for which error
-opportunities touch which qubit.  A circuit is walked once, when it is built,
-and keeps its measured-qubit events as one flip table of read-only arrays:
-``flip_sites``, ``flip_bits``, ``flip_slots`` (indices into ``error_keys``)
-and ``flip_salts`` (the seed-free halves of the rows' stream keys).  The
-estimator, the parity oracle and the sampler all read those arrays, so they
-agree; fit checks and prices read ``error_keys``.
+One op walk, ``_walk``, is the single source of truth for which error
+opportunities touch which qubit; it yields each op's events as plain
+(sub-op, logical, register) tuples.  A circuit is walked once, when it is
+built, and reads those tuples straight into one flip table of read-only
+arrays: ``flip_sites``, ``flip_bits``, ``flip_slots`` (indices into
+``error_keys``) and ``flip_salts`` (the seed-free halves of the rows' stream
+keys).  The estimator, the parity oracle and the sampler all read those
+arrays, so they agree; fit checks and prices read ``error_keys``.
+``walk_ops`` wraps the same walk into ``WalkStep``/``FlipEvent`` objects for
+tracing and tests.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
@@ -56,9 +60,10 @@ class Gate(Enum):
     SWAP = "SWAP"
     MEASURE = "MEASURE"
 
-    @property
-    def n_registers(self) -> int:
-        return 2 if self in (Gate.CNOT, Gate.SWAP) else 1
+    def __init__(self, value: str) -> None:
+        # a plain attribute, set once per member: routing and the build read
+        # it for every op, and a property on an enum member is slow to read
+        self.n_registers = 2 if value in ("CNOT", "SWAP") else 1
 
 
 def bit_at(bits: str, index: int) -> str:
@@ -120,14 +125,16 @@ class TranspiledOp:
     error_key: tuple = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.registers) != self.gate.n_registers:
+        registers = self.registers
+        if len(registers) != self.gate.n_registers:
             raise CircuitError(f"{self.gate.value} takes {self.gate.n_registers} registers")
-        if len(set(self.registers)) != len(self.registers):
-            raise CircuitError("repeated register operand")
-        if self.gate.n_registers == 2:
-            key = ("cnot", tuple(sorted(self.registers)))
+        if len(registers) == 2:
+            a, b = registers
+            if a == b:
+                raise CircuitError("repeated register operand")
+            key = ("cnot", (a, b) if a < b else (b, a))
         else:
-            key = ("meas" if self.gate is Gate.MEASURE else "single", self.registers[0])
+            key = ("meas" if self.gate is Gate.MEASURE else "single", registers[0])
         object.__setattr__(self, "error_key", key)
 
 
@@ -167,36 +174,33 @@ def _swap(loc: dict[int, int], owner: dict[int, int], a: int, b: int) -> tuple:
     return qa, qb
 
 
-def _walk(ops: Sequence[TranspiledOp], initial_mapping: dict[int, int]) -> Iterator[WalkStep]:
+def _walk(ops: Sequence[TranspiledOp], initial_mapping: Mapping[int, int]
+          ) -> Iterator[tuple[int, TranspiledOp, list[tuple[int, int, int]], dict[int, int]]]:
+    """Replay ``ops``: per op (index, op, events, locations).
+
+    Each event is a (sub, logical, register) tuple.  ``locations`` is the
+    live logical -> register map after the op; the next step updates it in
+    place, so a caller that keeps it copies it.
+    """
     loc = dict(initial_mapping)
     owner = {p: q for q, p in loc.items()}
     if len(owner) != len(loc):
         raise CircuitError("initial mapping is not injective")
     done: set[int] = set()
+    swap, measure = Gate.SWAP, Gate.MEASURE
     for idx, op in enumerate(ops):
-        for r in op.registers:
-            q = owner.get(r)
-            if q is not None and q in done:
+        held = [(q, r) for r in op.registers if (q := owner.get(r)) is not None]
+        for q, r in held:
+            if q in done:
                 raise CircuitError(f"op {idx}: register {r} holds already-measured qubit {q}")
-        events: list[FlipEvent] = []
-        if op.gate is Gate.SWAP:
-            a, b = op.registers
-            qa, qb = _swap(loc, owner, a, b)
-            for sub in range(3):
-                if qa is not None:
-                    events.append(FlipEvent(idx, sub, qa, a, op.error_key))
-                if qb is not None:
-                    events.append(FlipEvent(idx, sub, qb, b, op.error_key))
+        if op.gate is swap:
+            _swap(loc, owner, *op.registers)
+            events = [(sub, q, r) for sub in range(3) for q, r in held]
         else:
-            for r in op.registers:
-                q = owner.get(r)
-                if q is not None:
-                    events.append(FlipEvent(idx, 0, q, r, op.error_key))
-            if op.gate is Gate.MEASURE:
-                q = owner.get(op.registers[0])
-                if q is not None:
-                    done.add(q)
-        yield WalkStep(idx, op, tuple(events), dict(loc))
+            events = [(0, q, r) for q, r in held]
+            if op.gate is measure:
+                done.update(q for q, _ in held)
+        yield idx, op, events, loc
 
 
 @dataclass(frozen=True)
@@ -209,11 +213,11 @@ class TranspiledCircuit:
     measured exactly once, by the last op touching its register.  Read off
     that walk are ``final_mapping`` (registers after all routing SWAPs),
     ``error_keys`` (the ops' distinct keys, first use first) and the flip
-    table, one row per measured-qubit event in walk order, held as read-only
-    arrays: ``flip_sites`` (n x 3 int64: op index, sub-op, register),
-    ``flip_bits`` (int64 fingerprint indices), ``flip_slots`` (int64 indices
-    into ``error_keys``) and ``flip_salts`` (2 x n uint64, from
-    ``_flipcore.stream_salts``).
+    table, one row per measured-qubit event in walk order.  The table is one
+    n x 5 int64 array whose read-only column views are ``flip_sites`` (n x 3:
+    op index, sub-op, register), ``flip_bits`` (fingerprint indices) and
+    ``flip_slots`` (indices into ``error_keys``); ``flip_salts`` (2 x n
+    uint64) comes from ``_flipcore.stream_salts``.
     """
 
     num_qubits: int
@@ -236,29 +240,34 @@ class TranspiledCircuit:
             for r in op.registers:
                 if not (0 <= r < self.num_qubits):
                     raise CircuitError(f"register {r} out of range")
-        steps = tuple(_walk(self.ops, self.initial_mapping))
-        seen_measures = [ev.logical for step in steps if step.op.gate is Gate.MEASURE
-                         for ev in step.events]
+        bit_of = {q: i for i, q in enumerate(self.measured)}
+        slot_of: dict[tuple, int] = {}  # error key -> slot, first use first
+        seen_measures: list[int] = []
+        rows: list[int] = []  # flip table rows (op, sub, register, bit, slot), flattened
+        loc: Mapping[int, int] = self.initial_mapping
+        measure = Gate.MEASURE
+        for idx, op, events, loc in _walk(self.ops, self.initial_mapping):
+            slot = slot_of.setdefault(op.error_key, len(slot_of))
+            if op.gate is measure:
+                seen_measures += (q for _, q, _ in events)
+            for sub, q, r in events:
+                bit = bit_of.get(q)
+                if bit is not None:
+                    rows += (idx, sub, r, bit, slot)
         if sorted(seen_measures) != sorted(self.measured):
             raise CircuitError("MEASURE ops do not cover the measured qubit list")
         if len(self.ideal_output) != len(self.measured):
             raise CircuitError("ideal_output length must equal number of measured qubits")
         if any(c not in "01" for c in self.ideal_output):
             raise CircuitError("ideal_output must be a bitstring")
-        object.__setattr__(self, "final_mapping",
-                           dict(steps[-1].locations if steps else self.initial_mapping))
-        error_keys = tuple(dict.fromkeys(op.error_key for op in self.ops))
-        object.__setattr__(self, "error_keys", error_keys)
-        bit_of = {q: i for i, q in enumerate(self.measured)}
-        slot_of = {key: i for i, key in enumerate(error_keys)}
-        events = [ev for step in steps for ev in step.events if ev.logical in bit_of]
-        sites = np.array([(ev.op_index, ev.sub, ev.register) for ev in events],
-                         dtype=np.int64).reshape(-1, 3)
+        object.__setattr__(self, "final_mapping", dict(loc))
+        object.__setattr__(self, "error_keys", tuple(slot_of))
+        table = np.array(rows, dtype=np.int64).reshape(-1, 5)
         for name, array in (
-                ("flip_sites", sites),
-                ("flip_bits", np.array([bit_of[ev.logical] for ev in events], dtype=np.int64)),
-                ("flip_slots", np.array([slot_of[ev.error_key] for ev in events], np.int64)),
-                ("flip_salts", stream_salts(sites))):
+                ("flip_sites", table[:, :3]),
+                ("flip_bits", table[:, 3]),
+                ("flip_slots", table[:, 4]),
+                ("flip_salts", stream_salts(table[:, :3]))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -269,9 +278,12 @@ def walk_ops(circuit: TranspiledCircuit) -> Iterator[WalkStep]:
     Walks ``circuit.ops`` anew on each call; jobs never do.  A SWAP contributes
     three events (its constituent CNOTs) to each tracked qubit it touches and
     then exchanges their locations; a MEASURE contributes one event at the
-    qubit's final register.
+    qubit's final register.  This is the circuit's own build walk, with each
+    step held as objects and its locations copied.
     """
-    return _walk(circuit.ops, circuit.initial_mapping)
+    for idx, op, events, loc in _walk(circuit.ops, circuit.initial_mapping):
+        yield WalkStep(idx, op, tuple(FlipEvent(idx, sub, q, r, op.error_key)
+                                      for sub, q, r in events), dict(loc))
 
 
 def build_bv(secret: str) -> LogicalCircuit:
@@ -302,9 +314,11 @@ def build_bv(secret: str) -> LogicalCircuit:
 def _route_path(topology: Topology, start: int, goal: int, blocked: set[int]) -> list[int]:
     """Shortest register path start -> goal avoiding blocked interior nodes.
 
-    Ties are broken toward the lowest physical index at each hop.
+    Ties are broken toward the lowest physical index at each hop.  The path
+    reads only hop counts below ``start``'s, so the search from ``goal``
+    stops once it reaches ``start``.
     """
-    dist = topology.distances_from(goal, blocked=frozenset(blocked - {start, goal}))
+    dist = topology.distances_from(goal, blocked - {start, goal}, until=start)
     if start not in dist:
         raise RoutingError(f"no route from register {start} to {goal}")
     path = [start]
@@ -315,6 +329,16 @@ def _route_path(topology: Topology, start: int, goal: int, blocked: set[int]) ->
         cur = min(steps)
         path.append(cur)
     return path
+
+
+def _register(p) -> int:
+    """A mapping register as an int; bools, floats and other non-integers are refused."""
+    if not isinstance(p, (bool, np.bool_)):
+        try:
+            return operator.index(p)
+        except TypeError:
+            pass
+    raise CircuitError(f"mapping register {p!r} is not an integer")
 
 
 def _route(circuit: LogicalCircuit, topology: Topology,
@@ -328,6 +352,7 @@ def _route(circuit: LogicalCircuit, topology: Topology,
             raise CircuitError("mapping must place logical qubits 0..n-1") from None
     if len(initial_mapping) != circuit.num_qubits:
         raise CircuitError("initial mapping must place every logical qubit")
+    initial_mapping = [_register(p) for p in initial_mapping]
     if len(set(initial_mapping)) != len(initial_mapping):
         raise CircuitError("initial mapping is not injective")
     for p in initial_mapping:

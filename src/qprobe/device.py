@@ -77,26 +77,35 @@ class Topology:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def distances_from(self, start: int, blocked: frozenset[int] | set[int] = frozenset()) -> dict[int, int]:
-        """BFS hop counts from ``start``, never entering ``blocked`` registers."""
-        return self._bfs({start}, blocked)
+    def distances_from(self, start: int, blocked: frozenset[int] | set[int] = frozenset(),
+                       *, until: int | None = None) -> dict[int, int]:
+        """BFS hop counts from ``start``, never entering ``blocked`` registers.
+
+        With ``until``, the search stops after the level that reaches that
+        register; every hop count below its own is then complete.
+        """
+        return self._bfs({start}, blocked, until)
 
     def set_distance(self, group_a: Iterable[int], group_b: Iterable[int]) -> int | None:
         """Minimum hop count between two qubit groups, or None if disconnected."""
         dist = self._bfs(set(group_a))
         return min((dist[t] for t in set(group_b) if t in dist), default=None)
 
-    def _bfs(self, sources: set[int], blocked: frozenset[int] | set[int] = frozenset()
-             ) -> dict[int, int]:
-        """Hop count from the nearest of ``sources``, never entering ``blocked``."""
+    def _bfs(self, sources: set[int], blocked: frozenset[int] | set[int] = frozenset(),
+             until: int | None = None) -> dict[int, int]:
+        """Hop count from the nearest of ``sources``, never entering ``blocked``;
+        the search ends after the level that labels ``until``, if given."""
+        adjacency = self._adjacency
         dist = dict.fromkeys(sources, 0)
         frontier = list(sources)
-        while frontier:
+        hops = 0
+        while frontier and until not in dist:
+            hops += 1
             nxt = []
             for u in frontier:
-                for v in self.neighbors(u):
+                for v in adjacency.get(u, ()):
                     if v not in dist and v not in blocked:
-                        dist[v] = dist[u] + 1
+                        dist[v] = hops
                         nxt.append(v)
             frontier = nxt
         return dist

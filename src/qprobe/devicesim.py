@@ -79,6 +79,8 @@ class Counts:
             raise ValueError("outcome strings differ in width")
         if any(k.strip("01") for k in counts):
             raise ValueError("outcome strings must be bitstrings")
+        if any(isinstance(n, (bool, np.bool_)) for n in counts.values()):
+            raise ValueError("counts must be integers, not bools")
         ns = [operator.index(n) for n in counts.values()]
         if any(n < 0 for n in ns):
             raise ValueError("negative count")

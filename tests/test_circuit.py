@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fleetgen
+import qprobe.circuit
 import qsim
 from qprobe import Topology
 from qprobe.circuit import (
@@ -151,6 +153,92 @@ def test_transpile_validates_the_mapping():
         transpile(build_bv("1"), line(3), [1, 1])
     with pytest.raises(CircuitError, match="out of range"):
         transpile(build_bv("1"), line(3), [0, 3])
+    # a bool or a float would place the qubit on the register it equals
+    for bad in ([0.0, 1], [True, 0], [0, np.True_], [0, 1.5], ["0", 1], [0, None]):
+        with pytest.raises(CircuitError, match="is not an integer"):
+            transpile(build_bv("1"), line(3), bad)
+    with pytest.raises(CircuitError, match="is not an integer"):
+        compose_probe([("11", (0.0, 1, 3))], fleetgen.t5())
+    with pytest.raises(CircuitError, match="is not an integer"):
+        compose_probe([("11", (True, 0, 3))], fleetgen.t5())
+    # numpy integers are registers, held as ints
+    plain = compose_probe([("11", (1, 0, 3))], fleetgen.t5())
+    for registers in (np.array([1, 0, 3]), (np.int32(1), np.uint8(0), np.int64(3))):
+        via_numpy = compose_probe([("11", registers)], fleetgen.t5())
+        assert via_numpy == plain
+        assert [type(p) for p in via_numpy.initial_mapping.values()] == [int, int, int]
+
+
+def full_bfs_route_path(topology: Topology, start: int, goal: int,
+                        blocked: set[int]) -> list[int]:
+    """Reference router: a full BFS from ``goal``, then from ``start`` the
+    lowest-index neighbour one hop closer, until ``goal``."""
+    dist = topology.distances_from(goal, blocked=frozenset(blocked - {start, goal}))
+    if start not in dist:
+        raise RoutingError(f"no route from register {start} to {goal}")
+    path = [start]
+    cur = start
+    while cur != goal:
+        steps = [v for v in topology.neighbors(cur)
+                 if v not in blocked and v in dist and dist[v] == dist[cur] - 1]
+        cur = min(steps)
+        path.append(cur)
+    return path
+
+
+@st.composite
+def connected_topologies(draw) -> Topology:
+    """A line of up to 127 registers, a tree, a grid, or a tree with extra
+    edges, under a random register numbering.  Grids and extra edges close
+    cycles, so shortest paths tie."""
+    kind = draw(st.sampled_from(["line", "tree", "grid", "cyclic"]), label="kind")
+    if kind == "line":
+        n = draw(st.integers(min_value=2, max_value=127), label="n")
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "grid":
+        rows, cols = draw(st.integers(2, 6), label="rows"), draw(st.integers(2, 6), label="cols")
+        n = rows * cols
+        edges = [(i, i + 1) for i in range(n) if (i + 1) % cols] + \
+            [(i, i + cols) for i in range(n - cols)]
+    else:
+        n = draw(st.integers(min_value=2, max_value=40), label="n")
+        edges = [(draw(st.integers(min_value=0, max_value=i - 1)), i) for i in range(1, n)]
+        if kind == "cyclic":
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1])
+            edges += draw(st.lists(pairs, min_size=1, max_size=n), label="extra edges")
+    label = draw(st.permutations(range(n)), label="numbering")
+    return Topology(n, [(label[a], label[b]) for a, b in edges])
+
+
+def transpiled_or_error(circuit: LogicalCircuit, topology: Topology, mapping):
+    try:
+        routed = transpile(circuit, topology, mapping)
+    except RoutingError as exc:
+        return str(exc)
+    return routed.ops, routed.final_mapping
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), topology=connected_topologies())
+def test_routing_matches_the_full_bfs_reference_router(data, topology):
+    n = topology.num_qubits
+    k = data.draw(st.integers(min_value=1, max_value=min(n - 1, 10)), label="secret bits")
+    secret = data.draw(st.text(alphabet="01", min_size=k, max_size=k), label="secret")
+    blockers = data.draw(st.integers(min_value=0, max_value=min(n - k - 1, 4)), label="blockers")
+    bv = build_bv(secret)
+    # qubits read out before the probe runs block routes through their registers
+    circuit = LogicalCircuit(
+        num_qubits=bv.num_qubits + blockers,
+        ops=tuple((Gate.MEASURE, (bv.num_qubits + i,)) for i in range(blockers)) + bv.ops,
+        measured=bv.measured + tuple(range(bv.num_qubits, bv.num_qubits + blockers)),
+        ideal_output="0" * blockers + bv.ideal_output,
+    )
+    mapping = data.draw(st.permutations(range(n)), label="mapping")[: circuit.num_qubits]
+    routed = transpiled_or_error(circuit, topology, mapping)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qprobe.circuit, "_route_path", full_bfs_route_path)
+        assert transpiled_or_error(circuit, topology, mapping) == routed
 
 
 def test_transpile_accepts_a_mapping_dict():

@@ -440,6 +440,9 @@ def test_counts_validation():
         Counts({"1" * 65: 1})
     with pytest.raises(TypeError):
         Counts({"1": 1.5})
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="not bools"):
+            Counts({"0": 2, "1": flag})
     with pytest.raises(AttributeError, match="immutable"):
         Counts({"1": 1}).shots = 2
     for empty in (Counts({}), Counts({"1": 0}), Counts({"01": 0, "10": 0})):

@@ -152,7 +152,19 @@ def hand_built_cases():
     )]
 
 
-@pytest.mark.parametrize("circuit, noise", fold_cases() + hand_built_cases())
+def drift_cases():
+    """Long routes on the 127-register line: each drift placement and a
+    two-part composite."""
+    line = fleetgen.line_topology(127)
+    cases = [pytest.param(compose_probe([(secret, mapping)], line), None,
+                          id=f"drift-{size}-{mapping[0]}")
+             for size, placements in fleetgen.DRIFT_PROBES.items()
+             for secret, mapping in placements]
+    return cases + [pytest.param(compose_probe(fleetgen.DRIFT_PROBES[9][:2], line), None,
+                                 id="drift-two-parts")]
+
+
+@pytest.mark.parametrize("circuit, noise", fold_cases() + hand_built_cases() + drift_cases())
 def test_flips_are_the_measured_events_of_the_walk(circuit, noise):
     """The flip arrays are the measured events of ``walk_ops``, in walk order.
 
