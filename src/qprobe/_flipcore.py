@@ -25,8 +25,10 @@ z ^= z >> 30, z *= MIX1, z ^= z >> 27, z *= MIX2, z ^= z >> 31:
 
 (a) The first step is linear over xor, so for x = k ^ s * gamma it equals
     (k ^ k >> 30) ^ (s * gamma ^ (s * gamma) >> 30).  Each call computes
-    the per-event and the per-shot half once; a tile starts with one
-    broadcast xor and goes straight to the first multiply.
+    the per-event half once; the per-shot half depends only on the shot
+    count, so it is computed once per count and kept read-only
+    (``_shot_halves``).  A tile starts with one broadcast xor and goes
+    straight to the first multiply.
 (b) The last step keeps the top 31 bits of z, so u < t implies
     z <= t | (2**33 - 1), a ceiling that never overflows.  After the second
     multiply one comparison screens the tile: against each event's ceiling,
@@ -44,6 +46,8 @@ its number of events.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["offset_seed", "stream_salts", "salted_keys", "stream_keys", "flip_thresholds",
@@ -54,6 +58,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TILE = 1 << 16  # words per events x shots tile of the numpy kernel
+_SHOT_COUNTS = 8  # per-shot halves kept, one array per shot count
 
 
 def _mix64_np(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -141,6 +146,16 @@ def flip_thresholds(probs) -> np.ndarray:
     return scaled.astype(np.uint64) << np.uint64(11)
 
 
+@functools.lru_cache(maxsize=_SHOT_COUNTS)
+def _shot_halves(shots: int) -> np.ndarray:
+    """Per-shot half of the first mix step, s * gamma ^ (s * gamma) >> 30 for
+    s < shots, as a read-only uint64 array; see (a) above."""
+    salts = np.arange(shots, dtype=np.uint64) * np.uint64(_GAMMA)
+    salts ^= salts >> np.uint64(30)
+    salts.flags.writeable = False
+    return salts
+
+
 def sample_packed_numpy(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
                         bits: np.ndarray, shots: int) -> np.ndarray:
     """Vectorized reference sampler: one packed outcome word per shot.
@@ -160,8 +175,7 @@ def sample_packed_numpy(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
     if len(keys) == 0 or shots == 0:
         return out
     # (a): the first step of mix64(k ^ s * gamma), split into its two halves
-    salts = np.arange(shots, dtype=np.uint64) * np.uint64(_GAMMA)
-    salts ^= salts >> np.uint64(30)
+    salts = _shot_halves(shots)
     halves = keys ^ (keys >> np.uint64(30))
     # (b): u < t implies z <= t | (2**33 - 1), z the word before the last step
     ceilings = thresholds | np.uint64((1 << 33) - 1)

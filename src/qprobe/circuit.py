@@ -14,13 +14,19 @@ keys).  The estimator, the parity oracle and the sampler all read those
 arrays, so they agree; fit checks and prices read ``error_keys``.
 ``walk_ops`` wraps the same walk into ``WalkStep``/``FlipEvent`` objects for
 tracing and tests.
+
+A built circuit is read-only (frozen fields, read-only arrays and mapping
+views), so ``compose_probe`` keeps the circuits it composed and hands the
+same object to every caller that asks for the same probe.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -78,7 +84,9 @@ class LogicalCircuit:
     ``measured`` lists logical qubits in measurement order; ``ideal_output``
     is the noise-free outcome over those qubits.  Builders guarantee the
     circuit lands in a single basis state before measurement; the constructor
-    checks only structure (arity, ranges, measure-once-and-last).
+    checks only structure (arity, integer qubits, ranges,
+    measure-once-and-last).  Qubits are kept as ``int``: a numpy integer is
+    converted, and a bool, a float or any other non-integer raises.
     """
 
     num_qubits: int
@@ -90,9 +98,13 @@ class LogicalCircuit:
         if self.num_qubits < 1:
             raise CircuitError("circuit needs at least one qubit")
         measured_at: dict[int, int] = {}
+        ops = []
         for idx, (gate, qubits) in enumerate(self.ops):
             if len(qubits) != gate.n_registers:
                 raise CircuitError(f"op {idx}: {gate.value} takes {gate.n_registers} qubits")
+            if type(qubits[0]) is not int or type(qubits[-1]) is not int:  # one or two
+                qubits = tuple(_register(q, f"op {idx}: qubit") for q in qubits)
+            ops.append((gate, qubits))
             if len(set(qubits)) != len(qubits):
                 raise CircuitError(f"op {idx}: repeated qubit operand")
             for q in qubits:
@@ -102,22 +114,27 @@ class LogicalCircuit:
                     raise CircuitError(f"op {idx}: qubit {q} used after measurement")
             if gate is Gate.MEASURE:
                 measured_at[qubits[0]] = idx
-        if sorted(measured_at) != sorted(self.measured):
+        measured = tuple(_register(q, "measured qubit") for q in self.measured)
+        if sorted(measured_at) != sorted(measured):
             raise CircuitError("measured qubit list does not match MEASURE ops")
-        if len(set(self.measured)) != len(self.measured):
+        if len(set(measured)) != len(measured):
             raise CircuitError("measured qubit listed twice")
-        if len(self.ideal_output) != len(self.measured):
+        if len(self.ideal_output) != len(measured):
             raise CircuitError("ideal_output length must equal number of measured qubits")
         if any(c not in "01" for c in self.ideal_output):
             raise CircuitError("ideal_output must be a bitstring")
+        object.__setattr__(self, "ops", tuple(ops))
+        object.__setattr__(self, "measured", measured)
 
 
 @dataclass(frozen=True)
 class TranspiledOp:
     """One hardware op: gate, physical registers and its computed error key.
 
-    The key is ("cnot", sorted register pair) for a CNOT or SWAP, ("meas", r)
-    for a MEASURE and ("single", r) for any other gate.
+    Registers are kept as ``int`` by ``_register``'s rule: a numpy integer is
+    converted, and a bool, a float or any other non-integer raises
+    ``CircuitError``.  The key is ("cnot", sorted register pair) for a CNOT or
+    SWAP, ("meas", r) for a MEASURE and ("single", r) for any other gate.
     """
 
     gate: Gate
@@ -128,6 +145,10 @@ class TranspiledOp:
         registers = self.registers
         if len(registers) != self.gate.n_registers:
             raise CircuitError(f"{self.gate.value} takes {self.gate.n_registers} registers")
+        # one or two registers, so the first and the last are all of them
+        if type(registers[0]) is not int or type(registers[-1]) is not int:
+            registers = tuple(_register(r, f"{self.gate.value} register") for r in registers)
+            object.__setattr__(self, "registers", registers)
         if len(registers) == 2:
             a, b = registers
             if a == b:
@@ -217,15 +238,17 @@ class TranspiledCircuit:
     n x 5 int64 array whose read-only column views are ``flip_sites`` (n x 3:
     op index, sub-op, register), ``flip_bits`` (fingerprint indices) and
     ``flip_slots`` (indices into ``error_keys``); ``flip_salts`` (2 x n
-    uint64) comes from ``_flipcore.stream_salts``.
+    uint64) comes from ``_flipcore.stream_salts``.  ``initial_mapping`` and
+    ``final_mapping`` are read-only ``MappingProxyType`` views, and logical
+    qubits and registers are ints by ``_register``'s rule.
     """
 
     num_qubits: int
     ops: tuple[TranspiledOp, ...]
-    initial_mapping: dict[int, int]
+    initial_mapping: Mapping[int, int]
     measured: tuple[int, ...]
     ideal_output: str
-    final_mapping: dict[int, int] = field(init=False, compare=False)
+    final_mapping: Mapping[int, int] = field(init=False, compare=False)
     error_keys: tuple[tuple, ...] = field(init=False, compare=False)
     flip_sites: np.ndarray = field(init=False, compare=False, repr=False)
     flip_bits: np.ndarray = field(init=False, compare=False, repr=False)
@@ -233,20 +256,27 @@ class TranspiledCircuit:
     flip_salts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        initial = {}
         for q, p in self.initial_mapping.items():
+            if type(q) is not int or type(p) is not int:
+                q, p = _register(q, "logical qubit"), _register(p, "initial mapping register")
             if not (0 <= p < self.num_qubits):
                 raise CircuitError(f"initial mapping sends {q} to bad register {p}")
+            initial[q] = p
+        measured = tuple(_register(q, "measured qubit") for q in self.measured)
+        object.__setattr__(self, "initial_mapping", MappingProxyType(initial))
+        object.__setattr__(self, "measured", measured)
         for op in self.ops:
             for r in op.registers:
                 if not (0 <= r < self.num_qubits):
                     raise CircuitError(f"register {r} out of range")
-        bit_of = {q: i for i, q in enumerate(self.measured)}
+        bit_of = {q: i for i, q in enumerate(measured)}
         slot_of: dict[tuple, int] = {}  # error key -> slot, first use first
         seen_measures: list[int] = []
         rows: list[int] = []  # flip table rows (op, sub, register, bit, slot), flattened
-        loc: Mapping[int, int] = self.initial_mapping
+        loc: Mapping[int, int] = initial
         measure = Gate.MEASURE
-        for idx, op, events, loc in _walk(self.ops, self.initial_mapping):
+        for idx, op, events, loc in _walk(self.ops, initial):
             slot = slot_of.setdefault(op.error_key, len(slot_of))
             if op.gate is measure:
                 seen_measures += (q for _, q, _ in events)
@@ -254,13 +284,13 @@ class TranspiledCircuit:
                 bit = bit_of.get(q)
                 if bit is not None:
                     rows += (idx, sub, r, bit, slot)
-        if sorted(seen_measures) != sorted(self.measured):
+        if sorted(seen_measures) != sorted(measured):
             raise CircuitError("MEASURE ops do not cover the measured qubit list")
-        if len(self.ideal_output) != len(self.measured):
+        if len(self.ideal_output) != len(measured):
             raise CircuitError("ideal_output length must equal number of measured qubits")
         if any(c not in "01" for c in self.ideal_output):
             raise CircuitError("ideal_output must be a bitstring")
-        object.__setattr__(self, "final_mapping", dict(loc))
+        object.__setattr__(self, "final_mapping", MappingProxyType(dict(loc)))
         object.__setattr__(self, "error_keys", tuple(slot_of))
         table = np.array(rows, dtype=np.int64).reshape(-1, 5)
         for name, array in (
@@ -331,14 +361,15 @@ def _route_path(topology: Topology, start: int, goal: int, blocked: set[int]) ->
     return path
 
 
-def _register(p) -> int:
-    """A mapping register as an int; bools, floats and other non-integers are refused."""
+def _register(p, what: str = "mapping register") -> int:
+    """A register or qubit as an int; bools, floats and other non-integers
+    raise ``CircuitError`` naming ``what``."""
     if not isinstance(p, (bool, np.bool_)):
         try:
             return operator.index(p)
         except TypeError:
             pass
-    raise CircuitError(f"mapping register {p!r} is not an integer")
+    raise CircuitError(f"{what} {p!r} is not an integer")
 
 
 def _route(circuit: LogicalCircuit, topology: Topology,
@@ -428,6 +459,9 @@ def transpile(circuit: LogicalCircuit, topology: Topology,
     return _assemble([(circuit, initial_mapping)], topology)
 
 
+_PROBE_CACHE = 128  # composed probes kept, least recently used dropped first
+
+
 def compose_probe(subprobes: Sequence[tuple[str, Sequence[int]]],
                   topology: Topology) -> TranspiledCircuit:
     """Union of BV subprobes running on disjoint regions of one device.
@@ -438,7 +472,42 @@ def compose_probe(subprobes: Sequence[tuple[str, Sequence[int]]],
     as `transpile`, so a single subprobe composes to exactly its own
     transpilation.  The parts are only routed; the probe is built, and so
     walked, once as a whole.
+
+    Composing is memoized by value: str secrets with list or tuple mappings
+    of exact ints, on a topology equal to one seen before, return the same
+    read-only circuit.  A probe that fails is never kept and raises on every
+    call; any other input (a bool, numpy integer or float register, a
+    ``Mapping`` mapping) is composed uncached, with the same checks.
     """
     if not subprobes:
         raise CircuitError("compose_probe needs at least one subprobe")
+    key = _probe_key(subprobes, topology)
+    if key is None:
+        return _compose(subprobes, topology)
+    return _composed(*key)
+
+
+def _compose(subprobes, topology: Topology) -> TranspiledCircuit:
+    """``compose_probe`` without the cache."""
     return _assemble([(build_bv(secret), mapping) for secret, mapping in subprobes], topology)
+
+
+_composed = functools.lru_cache(maxsize=_PROBE_CACHE)(_compose)
+
+
+def _probe_key(subprobes, topology) -> tuple | None:
+    """(parts, topology) to cache a probe on, each part a (secret, tuple of
+    registers); None unless every secret is a str, every mapping a list or
+    tuple of exact ints and the topology a ``Topology``."""
+    if type(topology) is not Topology or type(subprobes) not in (list, tuple):
+        return None
+    parts = []
+    for part in subprobes:
+        if type(part) not in (list, tuple) or len(part) != 2:
+            return None
+        secret, mapping = part
+        if (type(secret) is not str or type(mapping) not in (list, tuple)
+                or not all(type(p) is int for p in mapping)):
+            return None
+        parts.append((secret, tuple(mapping)))
+    return tuple(parts), topology

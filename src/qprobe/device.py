@@ -2,15 +2,18 @@
 
 A profile is the per-device calibration snapshot a cloud provider publishes:
 CNOT error per coupling edge, single-qubit gate error and readout error per
-qubit.  Profiles are value objects; nothing in here mutates them after
-construction, so they are safe to share freely.
+qubit.  Profiles are value objects: their rate tables are read-only views,
+so one profile is safe to share freely, and ``load_profile`` hands the same
+object to every caller that parses the same text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -118,7 +121,8 @@ class DeviceProfile:
     ``cnot_error`` applies to an edge in both directions; its keys are
     normalized, and an edge keyed in both orientations is an error.
     ``single_qubit_error`` and ``measurement_error`` carry exactly one rate
-    per qubit.  All rates live in [0, 1).
+    per qubit.  All rates live in [0, 1).  The three tables are kept as
+    read-only ``MappingProxyType`` views of the constructor's own copies.
     """
 
     device_id: str
@@ -154,9 +158,11 @@ class DeviceProfile:
         for path, rate in self._iter_rates():
             if not (0.0 <= rate < 1.0):
                 raise ProfileError(f"{path}: rate {rate} outside [0, 1)")
-        object.__setattr__(self, "cnot_error", cnot)
-        object.__setattr__(self, "single_qubit_error", dict(self.single_qubit_error))
-        object.__setattr__(self, "measurement_error", dict(self.measurement_error))
+        object.__setattr__(self, "cnot_error", MappingProxyType(cnot))
+        object.__setattr__(self, "single_qubit_error",
+                           MappingProxyType(dict(self.single_qubit_error)))
+        object.__setattr__(self, "measurement_error",
+                           MappingProxyType(dict(self.measurement_error)))
 
     def _iter_rates(self):
         for (a, b), r in self.cnot_error.items():
@@ -280,12 +286,25 @@ _REQUIRED_FIELDS = ("device_id", "num_qubits", "edges", "cnot_error",
                     "single_qubit_error", "measurement_error", "calibration_time")
 
 
+_PROFILE_CACHE = 128  # parsed documents kept, least recently used dropped first
+
+
 def load_profile(document: str) -> DeviceProfile:
     """Parse a profile JSON document.
 
     Schema errors are reported with the offending field path, e.g.
-    ``cnot_error.0-2``.
+    ``cnot_error.0-2``.  Parsing is memoized on the exact text: a ``str``
+    seen before returns the same (read-only) profile, and an edited document
+    is a new key, so it is parsed afresh.  A document that fails is never
+    kept and raises on every call; any other type is parsed uncached.
     """
+    if type(document) is str:
+        return _parsed(document)
+    return _parse_profile(document)
+
+
+def _parse_profile(document) -> DeviceProfile:
+    """``load_profile`` without the cache: every check, on every call."""
     try:
         raw = json.loads(document, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -333,6 +352,9 @@ def load_profile(document: str) -> DeviceProfile:
         measurement_error=meas,
         calibration_time=raw["calibration_time"],
     )
+
+
+_parsed = functools.lru_cache(maxsize=_PROFILE_CACHE)(_parse_profile)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -6,12 +6,22 @@ from pathlib import Path
 import pytest
 
 import fleetgen
+import qprobe.circuit
+import qprobe.device
 
 FLIPCORE_C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "qprobe" / "_flipcore_c.c"
 
 # One line per acceptance check, printed after the run so the verdicts are
 # visible even with output capture on.
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def fresh_front_end_caches():
+    """Start every test with empty profile and probe caches, so a test that
+    counts builds sees one build per first parse or compose."""
+    qprobe.device._parsed.cache_clear()
+    qprobe.circuit._composed.cache_clear()
 
 
 @pytest.fixture(scope="session")

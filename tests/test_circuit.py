@@ -292,6 +292,47 @@ def test_walk_rejects_ops_on_measured_registers():
         TranspiledCircuit(1, ops, {0: 0}, (0,), "0")
 
 
+def test_hand_built_circuits_take_integer_registers_and_qubits_only():
+    # a bool or a float register would be priced and walked as the int it equals
+    with pytest.raises(CircuitError, match="H register True is not an integer"):
+        TranspiledCircuit(2, (TranspiledOp(Gate.H, (True,)), TranspiledOp(Gate.MEASURE, (1.0,))),
+                          {0: 1}, (0,), "0")
+    for gate, registers in ((Gate.MEASURE, (1.0,)), (Gate.CNOT, (0, np.True_)),
+                            (Gate.SWAP, ("0", 1)), (Gate.X, (None,))):
+        with pytest.raises(CircuitError, match=f"{gate.value} register .* is not an integer"):
+            TranspiledOp(gate, registers)
+    measure = (TranspiledOp(Gate.MEASURE, (1,)),)
+    with pytest.raises(CircuitError, match="initial mapping register True is not an integer"):
+        TranspiledCircuit(2, measure, {0: True}, (0,), "0")
+    with pytest.raises(CircuitError, match="logical qubit 0.0 is not an integer"):
+        TranspiledCircuit(2, measure, {0.0: 1}, (0,), "0")
+    with pytest.raises(CircuitError, match="measured qubit False is not an integer"):
+        TranspiledCircuit(2, measure, {0: 1}, (False,), "0")
+    with pytest.raises(CircuitError, match="op 1: qubit 0.0 is not an integer"):
+        LogicalCircuit(2, ((Gate.H, (1,)), (Gate.H, (0.0,))), (), "")
+    with pytest.raises(CircuitError, match="measured qubit True is not an integer"):
+        LogicalCircuit(2, ((Gate.MEASURE, (1,)),), (True,), "0")
+    # numpy integers are held as ints, so keys and mappings hold ints only
+    op = TranspiledOp(Gate.CNOT, (np.int64(3), np.uint8(1)))
+    assert op.registers == (3, 1) and op.error_key == ("cnot", (1, 3))
+    assert [type(r) for r in (*op.registers, *op.error_key[1])] == [int] * 4
+    logical = LogicalCircuit(2, ((Gate.MEASURE, (np.int32(1),)),), (np.int64(1),), "0")
+    assert logical.ops == ((Gate.MEASURE, (1,)),) and logical.measured == (1,)
+    assert type(logical.ops[0][1][0]) is int and type(logical.measured[0]) is int
+    circuit = TranspiledCircuit(2, measure, {np.int64(0): np.uint16(1)}, (np.int8(0),), "0")
+    held = (*circuit.initial_mapping.items(), *circuit.final_mapping.items())
+    assert [type(x) for pair in held for x in pair] == [int] * 4
+    assert type(circuit.measured[0]) is int
+
+
+def test_circuit_mappings_are_read_only():
+    circuit = transpile(build_bv("1"), line(3), [0, 2])
+    for mapping in (circuit.initial_mapping, circuit.final_mapping):
+        with pytest.raises(TypeError):
+            mapping[0] = 2
+    assert circuit.initial_mapping == {0: 0, 1: 2} and circuit.final_mapping == {0: 1, 1: 2}
+
+
 def test_transpiled_circuit_checks_final_mapping_and_measures():
     # the final mapping is derived from the op replay, never passed in
     base = transpile(build_bv("1"), line(3), [0, 2])
@@ -352,3 +393,53 @@ def test_compose_probe_single_part_matches_plain_transpile(data):
     assert composed.error_keys == plain.error_keys
     for name in ("flip_sites", "flip_bits", "flip_slots", "flip_salts"):
         assert np.array_equal(getattr(composed, name), getattr(plain, name))
+
+
+def test_compose_probe_shares_one_circuit_per_probe():
+    first = compose_probe([("11", (0, 1, 3))], fleetgen.t5())
+    # equal topologies that are different objects share it, as do list mappings
+    assert fleetgen.t5() is not fleetgen.t5()
+    assert compose_probe([["11", [0, 1, 3]]], fleetgen.t5()) is first
+    assert compose_probe((("11", (0, 1, 3)),), fleetgen.t5()) is first
+    # the key is a copy of the mapping, so editing the caller's list later changes nothing
+    mapping = [0, 1, 3]
+    assert compose_probe([("11", mapping)], fleetgen.t5()) is first
+    mapping[0] = 4
+    assert compose_probe([("11", (0, 1, 3))], fleetgen.t5()) is first
+    # another secret, mapping or topology is another probe
+    for subprobes, topology in (([("10", (0, 1, 3))], fleetgen.t5()),
+                                ([("11", (1, 0, 3))], fleetgen.t5()),
+                                ([("11", (0, 1, 3))], line(5))):
+        other = compose_probe(subprobes, topology)
+        assert other is not first
+        assert other == qprobe.circuit._compose(subprobes, topology)
+    assert first == transpile(build_bv("11"), fleetgen.t5(), (0, 1, 3))
+
+
+@pytest.mark.parametrize("registers, plain_registers", [
+    ((np.int64(1), 0, 3), (1, 0, 3)), (np.array([1, 0, 3]), (1, 0, 3)),
+    ({0: 1, 1: 0, 2: 3}, (1, 0, 3)), (range(3), (0, 1, 2)),
+], ids=["numpy integer", "numpy array", "dict", "range"])
+def test_compose_probe_builds_other_mappings_uncached(registers, plain_registers):
+    plain = compose_probe([("11", plain_registers)], fleetgen.t5())
+    first, second = (compose_probe([("11", registers)], fleetgen.t5()) for _ in range(2))
+    assert first == plain and second == plain
+    assert first is not second and plain is not first and plain is not second
+
+
+@pytest.mark.parametrize("subprobes, message", [
+    ([("11", (True, 0, 3))], "mapping register True is not an integer"),
+    ([("11", (1.0, 0, 3))], "mapping register 1.0 is not an integer"),
+    ([("11", {0: 1, 1: 0})], "initial mapping must place every logical qubit"),
+    ([("11", {0: 1, 1: 0, 3: 3})], r"mapping must place logical qubits 0..n-1"),
+    ([("11", (0, 0, 3))], "not injective"),
+    ([("11", (0, 1, 9))], "mapping register 9 out of range"),
+    ([("11", (0, 1))], "initial mapping must place every logical qubit"),
+    ([("12", (0, 1, 3))], "secret must be a non-empty bitstring"),
+    ([("1", (0, 1)), ("1", (2, 3))], "graph distance 0"),
+])
+def test_a_probe_that_fails_to_compose_raises_on_every_call(subprobes, message):
+    for _ in range(2):
+        with pytest.raises(CircuitError, match=message):
+            compose_probe(subprobes, fleetgen.t5())
+    assert qprobe.circuit._composed.cache_info().currsize == 0

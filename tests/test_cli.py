@@ -187,9 +187,13 @@ def test_sweep_reports_a_usable_gap(corner_fleet, tmp_path):
     ["--probe", "bv:11", "--mapping", "0,1,+3"],
 ])
 def test_configuration_mistakes_exit_one(corner_fleet, argv_tail, capsys):
-    code = main(["identify", "--fleet", str(corner_fleet), *argv_tail])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    # the second run in the same process meets warm profile and probe caches
+    errors = []
+    for _ in range(2):
+        code = main(["identify", "--fleet", str(corner_fleet), *argv_tail])
+        assert code == 1
+        errors.append(capsys.readouterr().err)
+    assert "error:" in errors[0] and errors[1] == errors[0]
 
 
 @pytest.mark.parametrize("argv_tail", [
@@ -197,11 +201,12 @@ def test_configuration_mistakes_exit_one(corner_fleet, argv_tail, capsys):
     ["--probe", "bv:1+bv:1", "--mapping", "0,1;1,2"],
 ])
 def test_repeated_register_is_reported_once(corner_fleet, argv_tail, capsys):
-    code = main(["identify", "--fleet", str(corner_fleet), *argv_tail])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "twice" in err
-    assert not any(device_id in err for device_id in ("alpine", "boreal", "cascade", "dune"))
+    for _ in range(2):  # the second run meets warm caches
+        code = main(["identify", "--fleet", str(corner_fleet), *argv_tail])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "twice" in err
+        assert not any(device_id in err for device_id in ("alpine", "boreal", "cascade", "dune"))
 
 
 @pytest.mark.parametrize("seed", [str(2**64), str(-2**63 - 1)])
@@ -330,13 +335,14 @@ def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, mes
     (tmp_path / "boreal.json").write_text(dump_profile(fleetgen.corner_profiles()[1]))
     fleet = tmp_path / "fleet.json"
     fleet.write_text(entries if isinstance(entries, str) else json.dumps(entries))
-    # an unmapped exception would escape main() and fail the test with its traceback
-    code = main(["identify", "--fleet", str(fleet), *CORNER_PROBE])
-    assert code == 1
     # errors from an entry's profile file or its forgery name the entry and the file
     if not message.startswith(("fleet entry", "fleet config")):
         message = f"fleet entry 0 (alpine.json): {message}"
-    assert f"error: {message}" in capsys.readouterr().err
+    for _ in range(2):  # the second run meets warm caches
+        # an unmapped exception would escape main() and fail the test with its traceback
+        code = main(["identify", "--fleet", str(fleet), *CORNER_PROBE])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, message", [
@@ -357,11 +363,12 @@ def test_probe_that_does_not_fit_the_attacked_device_exits_one(tmp_path, command
     )
     # the probe is built on alpine, the first device it fits
     fleet = fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(), tiny])
-    code = main([*command, "--fleet", str(fleet), *CORNER_PROBE])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert f"error: {message}" in captured.err
-    assert captured.out == ""
+    for _ in range(2):  # the second run meets warm caches
+        code = main([*command, "--fleet", str(fleet), *CORNER_PROBE])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
 
 
 def test_identify_checks_topology_once_per_side(corner_fleet, monkeypatch, capsys):

@@ -23,7 +23,7 @@ from qprobe import (
     run_rounds,
 )
 from qprobe.circuit import TranspiledCircuit, build_bv, compose_probe, transpile
-from qprobe.device import DeviceProfile, ProfileError
+from qprobe.device import DeviceProfile, ProfileError, dump_profile
 
 
 def corner_cloud() -> QuantumCloud:
@@ -246,6 +246,22 @@ def test_load_fleet_resolves_paths_and_bakes_in_config(tmp_path):
     flat = load_fleet(config, hidden_rate=0.01)
     assert flat.true_entry("alpine").true_noise.hidden_rate == 0.01
     assert flat.true_entry("boreal").true_noise.hidden_rate == 0.01
+
+
+def test_load_fleet_sees_an_edited_profile_at_once(tmp_path):
+    config = fleetgen.write_fleet(tmp_path, fleetgen.corner_profiles())
+    before = load_fleet(config).get_profile("alpine")
+    # the same files give the same shared profiles
+    assert load_fleet(config).get_profile("alpine") is before
+    edited = fabricate(before, overrides={"Meas_0": 0.25})
+    (tmp_path / "alpine.json").write_text(dump_profile(edited))
+    after = load_fleet(config).get_profile("alpine")
+    assert after == edited and after.measurement_error[0] == 0.25
+    # a file broken after a good load fails on every load
+    (tmp_path / "alpine.json").write_text('{"device_id": "alpine"}')
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^fleet entry 0 \(alpine.json\): num_qubits: missing"):
+            load_fleet(config)
 
 
 def test_load_fleet_config_errors(tmp_path):

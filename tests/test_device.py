@@ -304,3 +304,35 @@ def test_load_profile_rejects_non_object_documents():
         load_profile("{nope")
     with pytest.raises(ProfileError, match="JSON object"):
         load_profile("[1, 2]")
+
+
+def test_load_profile_shares_one_read_only_profile_per_text():
+    text = dump_profile(make_profile())
+    first = load_profile(text)
+    # the key is the text's value, not the object holding it
+    assert load_profile(text.encode().decode()) is first
+    edited = load_profile(text.replace('"unit"', '"edited"'))
+    assert edited is not first and edited.device_id == "edited"
+    assert edited.cnot_error == first.cnot_error
+    # bytes or a str subclass parse the same, uncached
+    for document in (text.encode(), type("Text", (str,), {})(text)):
+        assert load_profile(document) == first and load_profile(document) is not first
+    # a shared profile cannot be changed under another caller
+    for table, key in ((first.cnot_error, (0, 1)), (first.single_qubit_error, 0),
+                       (first.measurement_error, 0)):
+        with pytest.raises(TypeError):
+            table[key] = 0.5
+    assert first.measurement_error == {q: 0.02 for q in range(5)}
+    assert first == make_profile()
+
+
+def test_a_document_that_fails_to_load_raises_on_every_call():
+    import qprobe.device
+
+    empty_id = dump_profile(make_profile()).replace('"unit"', '""')
+    for document, message in ((empty_id, "device_id must be non-empty"),
+                              ("{nope", "not valid JSON"), ("[1, 2]", "JSON object")):
+        for _ in range(2):
+            with pytest.raises(ProfileError, match=message):
+                load_profile(document)
+    assert qprobe.device._parsed.cache_info().currsize == 0

@@ -38,6 +38,7 @@ from qprobe._flipcore import (
     _TILE,
     _mix64,
     _mix64_np,
+    _shot_halves,
     compiled_sampler,
     offset_seed,
     flip_thresholds,
@@ -390,6 +391,15 @@ def test_kernels_are_exact_at_the_screening_boundary(kernel, shots):
     out = kernel(0, keys, flip_thresholds(probs), bits, shots)
     assert [bool(int(out[shot]) >> bit & 1) for bit in bits.tolist()] == flipped
     assert np.array_equal(out, per_event_sampler(0, keys, probs, bits, shots))
+
+
+def test_the_per_shot_half_is_kept_read_only_per_shot_count():
+    halves = _shot_halves(500)
+    assert _shot_halves(500) is halves and not halves.flags.writeable
+    products = [s * _GAMMA & _MASK for s in range(500)]
+    assert halves.tolist() == [z ^ z >> 30 for z in products]
+    with pytest.raises(ValueError):
+        halves[0] = 0
 
 
 def test_numpy_kernel_memory_does_not_grow_with_the_events():
