@@ -25,6 +25,7 @@ mismatch) is detected, 1 for configuration and I/O errors.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -36,8 +37,6 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 from pathlib import Path
-
-import click
 
 from ._flipcore import offset_seed
 from .circuit import CircuitError, TranspiledCircuit, compose_probe
@@ -273,16 +272,18 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(report: ExperimentReport, out: str | None, fmt: str) -> None:
-    text = report.to_json() if fmt == "json" else report.to_csv()
-    if out is None:
-        click.echo(text, nl=False)
+def _emit(report: ExperimentReport, args: argparse.Namespace, summary: str) -> None:
+    """Write the report to stdout or into ``--out``, then the filled-in summary line."""
+    text = report.to_json() if args.format == "json" else report.to_csv()
+    if args.out is None:
+        print(text, end="")
     else:
-        out_dir = Path(out)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / f"{report.kind}.{'json' if fmt == 'json' else 'csv'}"
+        target = out_dir / f"{report.kind}.{args.format}"
         target.write_text(text)
-        click.echo(f"wrote {target}")
+        print(f"wrote {target}")
+    print(summary.format_map(report.summary))
 
 
 # --- experiment drivers -------------------------------------------------------
@@ -476,142 +477,140 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
     return report, 0
 
 
-# --- click wiring ---------------------------------------------------------
+# --- command line ------------------------------------------------------------
+# Each command takes the parsed arguments and returns its exit code.
 
 
-@click.group()
-def cli() -> None:
-    """Fingerprint quantum cloud devices and catch dishonest providers."""
-
-
-def _fleet_options(fn):
-    fn = click.option("--fleet", "fleet_path", required=True,
-                      type=click.Path(exists=True, dir_okay=False),
-                      help="Fleet config JSON.")(fn)
-    fn = click.option("--probe", "probes", multiple=True, required=True,
-                      help="Probe spec bv:<secret>, '+'-joined for composites.")(fn)
-    fn = click.option("--mapping", "mappings", multiple=True, required=True,
-                      help="Initial mapping a,b,c (';'-separated per subprobe).")(fn)
-    fn = click.option("--shots", default=4000, show_default=True, help="Shots per round.")(fn)
-    fn = click.option("--rounds", default=3, show_default=True, help="Rounds to pool.")(fn)
-    fn = click.option("--seed", default=0, show_default=True, help="Base RNG seed.")(fn)
-    fn = click.option("--hidden-rate", default=None, type=float,
-                      help="Override every device's hidden per-op flip rate.")(fn)
-    fn = click.option("--out", default=None, type=click.Path(file_okay=False),
-                      help="Directory for the report file (default: stdout).")(fn)
-    fn = click.option("--format", "fmt", default="json", show_default=True,
-                      type=click.Choice(["json", "csv"]), help="Report encoding.")(fn)
-    return fn
-
-
-def _single_probe(probes, mappings) -> ProbeSpec:
-    specs = parse_probe_args(probes, mappings)
+def _single_probe(args: argparse.Namespace) -> ProbeSpec:
+    specs = parse_probe_args(args.probe, args.mapping)
     if len(specs) != 1:
         raise CommandError("this command takes exactly one --probe/--mapping pair")
     return specs[0]
 
 
-@cli.command()
-@_fleet_options
-def identify(fleet_path, probes, mappings, shots, rounds, seed, hidden_rate, out, fmt):
+def identify(args: argparse.Namespace) -> int:
     """Match every fleet device against all advertised profiles."""
-    cloud = load_fleet(fleet_path, hidden_rate=hidden_rate)
-    report, code = run_identify(cloud, _single_probe(probes, mappings), shots, rounds, seed)
-    _emit(report, out, fmt)
-    click.echo(f"identify: {report.summary['correct']}/{report.summary['rows']} correct")
-    sys.exit(code)
+    report, code = run_identify(load_fleet(args.fleet, hidden_rate=args.hidden_rate),
+                                _single_probe(args), args.shots, args.rounds, args.seed)
+    _emit(report, args, "identify: {correct}/{rows} correct")
+    return code
 
 
-@cli.command("detect-sub")
-@_fleet_options
-@click.option("--victim", required=True, help="Device the user thinks they are renting.")
-@click.option("--actual", required=True, help="Device the provider really uses.")
-@click.option("--threshold", default=DEFAULT_THRESHOLD, show_default=True,
-              help="Fraud decision threshold on fingerprint distance.")
-def detect_sub(fleet_path, probes, mappings, shots, rounds, seed, hidden_rate, out, fmt,
-               victim, actual, threshold):
+def detect_sub(args: argparse.Namespace) -> int:
     """Mount a machine-substitution attack and probe the victim device."""
-    cloud = load_fleet(fleet_path, hidden_rate=hidden_rate)
     report, code = run_detect_substitution(
-        cloud, victim, actual, _single_probe(probes, mappings), shots, rounds, seed, threshold)
-    _emit(report, out, fmt)
-    click.echo(f"detect-sub: {report.summary['classification']}")
-    sys.exit(code)
+        load_fleet(args.fleet, hidden_rate=args.hidden_rate), args.victim, args.actual,
+        _single_probe(args), args.shots, args.rounds, args.seed, args.threshold)
+    _emit(report, args, "detect-sub: {classification}")
+    return code
 
 
-@cli.command("detect-fab")
-@_fleet_options
-@click.option("--device", "device_id", required=True, help="Device whose profile is forged.")
-@click.option("--fab", "strategy_text", required=True,
-              help="Fabrication strategy: scale:<f> or set:<Label=rate,...>.")
-@click.option("--threshold", default=DEFAULT_THRESHOLD, show_default=True,
-              help="Fraud decision threshold on fingerprint distance.")
-def detect_fab(fleet_path, probes, mappings, shots, rounds, seed, hidden_rate, out, fmt,
-               device_id, strategy_text, threshold):
+def detect_fab(args: argparse.Namespace) -> int:
     """Advertise a forged calibration profile and probe against it."""
-    cloud = load_fleet(fleet_path, hidden_rate=hidden_rate)
     report, code = run_detect_fabrication(
-        cloud, device_id, parse_strategy(strategy_text),
-        parse_probe_args(probes, mappings), shots, rounds, seed, threshold)
-    _emit(report, out, fmt)
-    click.echo(f"detect-fab: {report.summary['fraudulent']}/{report.summary['trials']} fraudulent")
-    sys.exit(code)
+        load_fleet(args.fleet, hidden_rate=args.hidden_rate), args.device,
+        parse_strategy(args.fab), parse_probe_args(args.probe, args.mapping),
+        args.shots, args.rounds, args.seed, args.threshold)
+    _emit(report, args, "detect-fab: {fraudulent}/{trials} fraudulent")
+    return code
 
 
-@cli.command()
-@_fleet_options
-def sweep(fleet_path, probes, mappings, shots, rounds, seed, hidden_rate, out, fmt):
+def sweep(args: argparse.Namespace) -> int:
     """Measure honest and cross-device distance distributions."""
-    cloud = load_fleet(fleet_path, hidden_rate=hidden_rate)
     report, code = run_threshold_sweep(
-        cloud, parse_probe_args(probes, mappings), shots, rounds, seed)
-    _emit(report, out, fmt)
-    gap = report.summary.get("gap")
-    click.echo(f"sweep: gap={gap}")
-    sys.exit(code)
+        load_fleet(args.fleet, hidden_rate=args.hidden_rate),
+        parse_probe_args(args.probe, args.mapping), args.shots, args.rounds, args.seed)
+    _emit(report, args, "sweep: gap={gap}")
+    return code
 
 
-@cli.command()
-@click.option("--profile", "profile_path", required=True,
-              type=click.Path(exists=True, dir_okay=False), help="Device profile JSON.")
-@click.option("--probe", "probes", multiple=True, required=True)
-@click.option("--mapping", "mappings", multiple=True, required=True)
-def trace(profile_path, probes, mappings):
+def trace(args: argparse.Namespace) -> int:
     """Print the survival walk of a probe under a published profile."""
-    profile = load_profile(Path(profile_path).read_text())
-    spec = _single_probe(probes, mappings)
-    circuit = compose_probe(spec.subprobes, profile.topology)
-    steps = trace_survival(circuit, profile)
-    ops = circuit.ops
-    for op_index, tracks in steps:
+    profile = load_profile(Path(args.profile).read_text())
+    circuit = compose_probe(_single_probe(args).subprobes, profile.topology)
+    for op_index, tracks in trace_survival(circuit, profile):
         if op_index < 0:
-            head = f"{'init':<18}"
+            head = "init"
         else:
-            op = ops[op_index]
-            regs = ",".join(map(str, op.registers))
-            head = f"op{op_index:<3} {op.gate.value:<8}({regs})"
-            head = f"{head:<18}"
+            op = circuit.ops[op_index]
+            head = f"op{op_index:<3} {op.gate.value:<8}({','.join(map(str, op.registers))})"
         body = "  ".join(f"q{t.logical}@{t.register} {t.survival:.6f}" for t in tracks)
-        click.echo(f"{head} {body}")
+        print(f"{head:<18} {body}")
+    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise CommandError, so they exit 1."""
+
+    def error(self, message):
+        raise CommandError(message)
+
+
+def _out_dir(path: str) -> str:
+    """``--out`` names a directory; an existing file is refused before any job runs."""
+    if Path(path).is_file():
+        raise argparse.ArgumentTypeError(f"{path!r} is a file, not a directory")
+    return path
+
+
+_probe_opts = _Parser(add_help=False, allow_abbrev=False)
+_probe_opts.add_argument("--probe", action="append", required=True,
+                         help="Probe spec bv:<secret>, '+'-joined for composites; repeatable.")
+_probe_opts.add_argument("--mapping", action="append", required=True,
+                         help="Initial mapping a,b,c (';'-separated per subprobe); repeatable.")
+_fleet_opts = _Parser(add_help=False, allow_abbrev=False, parents=[_probe_opts])
+_fleet_opts.add_argument("--fleet", required=True, help="Fleet config JSON.")
+_fleet_opts.add_argument("--shots", type=int, default=4000, help="Shots per round (4000).")
+_fleet_opts.add_argument("--rounds", type=int, default=3, help="Rounds to pool (3).")
+_fleet_opts.add_argument("--seed", type=int, default=0, help="Base RNG seed (0).")
+_fleet_opts.add_argument("--hidden-rate", type=float,
+                         help="Override every device's hidden per-op flip rate.")
+_fleet_opts.add_argument("--out", type=_out_dir, help="Report directory (default: stdout).")
+_fleet_opts.add_argument("--format", choices=["json", "csv"], default="json",
+                         help="Report encoding (json).")
+_threshold_opts = _Parser(add_help=False, allow_abbrev=False)
+_threshold_opts.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                             help=f"Fraud threshold on the distance ({DEFAULT_THRESHOLD}).")
+
+_PARSER = _Parser(prog="qprobe", allow_abbrev=False,
+                  description="Fingerprint quantum cloud devices and catch dishonest providers.")
+_commands = _PARSER.add_subparsers(title="commands", dest="command", metavar="COMMAND",
+                                   required=True)
+
+
+def _command(run, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = _commands.add_parser(run.__name__.replace("_", "-"), parents=parents,
+                                  allow_abbrev=False, help=run.__doc__, description=run.__doc__)
+    parser.set_defaults(run=run)
+    return parser
+
+
+_command(identify, _fleet_opts)
+_sub = _command(detect_sub, _fleet_opts, _threshold_opts)
+_sub.add_argument("--victim", required=True, help="Device the user thinks they are renting.")
+_sub.add_argument("--actual", required=True, help="Device the provider really uses.")
+_fab = _command(detect_fab, _fleet_opts, _threshold_opts)
+_fab.add_argument("--device", required=True, help="Device whose profile is forged.")
+_fab.add_argument("--fab", required=True,
+                  help="Fabrication strategy: scale:<f> or set:<Label=rate,...>.")
+_command(sweep, _fleet_opts)
+_command(trace, _probe_opts).add_argument("--profile", required=True, help="Device profile JSON.")
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with experiment-grade exit codes (0 clean, 2 fraud, 1 error)."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except SystemExit as exc:  # raised by commands to signal the verdict
-        return int(exc.code or 0)
-    except click.ClickException as exc:
-        exc.show()
-        return 1
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # argparse's --help, after printing the help
+        return exc.code
     # every input error the package raises (CommandError, ProfileError,
-    # CircuitError, TopologyError, JSON decoding) is a ValueError
+    # CircuitError, TopologyError, JSON decoding, usage) is a ValueError
     except (KeyError, ValueError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        click.echo(f"error: {message}", err=True)
+        print(f"error: {message}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _MAX_MEASURED = 64  # packed-word sampler limit; probes stay far below this
+# Most shots one job may pool over its rounds: far above the 4000 x 3 default,
+# and checked before any per-round list or per-shot array is built.
+_MAX_POOLED_SHOTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -153,14 +156,18 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
     """Pool several executions with per-round derived seeds (round r uses
     ``offset_seed(seed, r)``, i.e. seed + r).
 
-    The seed is checked first.  The circuit is checked, priced and given its
-    flip thresholds once, every round's stream keys are derived at once, each
-    round samples, and the pooled words are counted in one pass.
+    Rounds, shots and their product (at most ``_MAX_POOLED_SHOTS``) are
+    checked first, then the seed.  The circuit is checked, priced and given
+    its flip thresholds once, every round's stream keys are derived at once,
+    each round samples, and the pooled words are counted in one pass.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
     if shots < 1:
         raise ValueError("shots must be positive")
+    if shots * rounds > _MAX_POOLED_SHOTS:
+        raise ValueError(f"shots {shots} x rounds {rounds} exceeds the {_MAX_POOLED_SHOTS} "
+                         "shots one job may pool")
     seeds = [offset_seed(seed, r) for r in range(rounds)]
     thresholds = flip_thresholds(_flip_probs(circuit, noise))
     width = len(circuit.measured)

@@ -6,16 +6,23 @@ identification miss) shows up, 1 for configuration mistakes.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
+import os
 import re
+import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import fleetgen
 import qprobe.device
-from qprobe import DeviceProfile, Topology, dump_profile, estimate_fingerprint, load_fleet
+from qprobe import (DeviceProfile, QuantumCloud, Topology, dump_profile, estimate_fingerprint,
+                    load_fleet)
 from qprobe.circuit import compose_probe
 from qprobe.cli import CommandError, ProbeSpec, main, parse_probe_args, parse_strategy
 
@@ -185,6 +192,8 @@ def test_sweep_reports_a_usable_gap(corner_fleet, tmp_path):
     ["--probe", "bv:11", "--mapping", "0,1"],
     ["--probe", "bv:11", "--mapping", "90,91,92"],
     ["--probe", "bv:11", "--mapping", "0,1,+3"],
+    # just above the pooled-shot bound; far above it, numpy failed to allocate
+    ["--probe", "bv:11", "--mapping", "0,1,3", "--shots", str(2**24 + 1), "--rounds", "1"],
 ])
 def test_configuration_mistakes_exit_one(corner_fleet, argv_tail, capsys):
     # the second run in the same process meets warm profile and probe caches
@@ -193,7 +202,8 @@ def test_configuration_mistakes_exit_one(corner_fleet, argv_tail, capsys):
         code = main(["identify", "--fleet", str(corner_fleet), *argv_tail])
         assert code == 1
         errors.append(capsys.readouterr().err)
-    assert "error:" in errors[0] and errors[1] == errors[0]
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
+    assert errors[1] == errors[0]
 
 
 @pytest.mark.parametrize("argv_tail", [
@@ -396,11 +406,76 @@ def test_unknown_device_exits_one(corner_fleet, capsys):
     capsys.readouterr()
 
 
-def test_usage_errors_exit_one(capsys):
-    assert main(["frobnicate"]) == 1
-    assert main(["identify", "--fleet", "/does/not/exist.json", *CORNER_PROBE]) == 1
+def test_usage_errors_exit_one(tmp_path, monkeypatch, capsys):
+    submitted = []
+    monkeypatch.setattr(QuantumCloud, "submit", lambda *args: submitted.append(args))
+    a_file = tmp_path / "report"
+    a_file.write_text("")
+    fleet = ["--fleet", str(DEMO_FLEET), *CORNER_PROBE]
+    for argv in ([], ["frobnicate"], ["identify", *fleet, "--verbose"],
+                 ["identify", "--fle", str(DEMO_FLEET), *CORNER_PROBE],
+                 ["identify", *fleet, "--shots", "abc"],
+                 ["identify", *fleet, "--out", str(a_file)],
+                 ["identify", "--fleet", "/does/not/exist.json", *CORNER_PROBE]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+    assert submitted == []
     assert main(["--help"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert all(command in out for command in ("identify", "detect-sub", "detect-fab", "trace"))
+    for command, own in [("identify", "--fleet"), ("detect-sub", "--victim"),
+                         ("detect-fab", "--fab"), ("sweep", "--format"),
+                         ("trace", "--profile")]:
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert own in out and "--probe" in out
+        assert ("--threshold" in out) == command.startswith("detect")
+
+
+def test_main_keeps_no_reference_to_its_output_streams():
+    sinks = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(sinks[0]), contextlib.redirect_stderr(sinks[1]):
+        assert main(["detect-sub", "--fleet", str(DEMO_FLEET), *CORNER_PROBE,
+                     "--victim", "alpine", "--actual", "dune"]) == 2
+        assert main(["frobnicate"]) == 1
+    assert "detect-sub: fraudulent" in sinks[0].getvalue()
+    assert "frobnicate" in sinks[1].getvalue()
+    refs = [weakref.ref(sink) for sink in sinks]
+    del sinks
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+# A child interpreter that refuses every import from outside the standard
+# library, numpy and qprobe itself.
+STDLIB_AND_NUMPY_ONLY = """
+import runpy, sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in {*sys.stdlib_module_names, "numpy", "qprobe"}:
+            raise ImportError(f"{name} is not in the standard library or numpy")
+
+sys.meta_path.insert(0, Refuse())
+runpy.run_module("qprobe.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_command_runs_on_the_standard_library_and_numpy(tmp_path):
+    argv = ["detect-sub", "--fleet", str(DEMO_FLEET), "--victim", "alpine", "--actual", "dune",
+            *CORNER_PROBE, "--seed", "7", "--format", "csv"]
+    source = Path(qprobe.device.__file__).resolve().parents[1]
+    child = subprocess.run([sys.executable, "-c", STDLIB_AND_NUMPY_ONLY, *argv],
+                           capture_output=True, cwd=tmp_path, timeout=120,
+                           env={**os.environ, "PYTHONPATH": str(source)})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 2
+    assert (child.returncode, child.stderr) == (2, b"")
+    assert child.stdout == out.getvalue().encode()
+    assert child.stdout.endswith(b"detect-sub: fraudulent\n")
 
 
 # --- report files ----------------------------------------------------------------

@@ -49,7 +49,7 @@ from qprobe._flipcore import (
     stream_salts,
 )
 from qprobe.circuit import Gate, TranspiledCircuit, TranspiledOp, bit_at, build_bv, transpile
-from qprobe.devicesim import _flip_probs
+from qprobe.devicesim import _MAX_POOLED_SHOTS, _flip_probs
 
 
 def single_qubit_circuit() -> TranspiledCircuit:
@@ -509,6 +509,13 @@ def test_execute_argument_checks():
         execute(circ, noise, shots=0, seed=0)
     with pytest.raises(ValueError, match="rounds"):
         run_rounds(circ, noise, shots=10, rounds=0, seed=0)
+    # pooled shots are bounded before the seed (out of range here) is checked
+    # and before any per-round list or per-shot array is built; only values
+    # just above the bound are run, never an unbounded one
+    assert _MAX_POOLED_SHOTS == 2**24
+    for shots, rounds in [(2**24 + 1, 1), (1, 2**24 + 1), (2**12, 2**12 + 1)]:
+        with pytest.raises(ValueError, match=f"^shots {shots} x rounds {rounds} exceeds"):
+            run_rounds(circ, noise, shots=shots, rounds=rounds, seed=2**64)
     other = transpile(build_bv("11"), fleetgen.t5(), [0, 1, 3])
     with pytest.raises(TopologyError, match="does not fit"):
         execute(other, noise, shots=10, seed=0)
