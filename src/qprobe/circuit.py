@@ -235,9 +235,10 @@ class TranspiledCircuit:
     that walk are ``final_mapping`` (registers after all routing SWAPs),
     ``error_keys`` (the ops' distinct keys, first use first) and the flip
     table, one row per measured-qubit event in walk order.  The table is one
-    n x 5 int64 array whose read-only column views are ``flip_sites`` (n x 3:
-    op index, sub-op, register), ``flip_bits`` (fingerprint indices) and
-    ``flip_slots`` (indices into ``error_keys``); ``flip_salts`` (2 x n
+    n x 6 int64 array whose read-only column views are ``flip_sites`` (n x 3:
+    op index, sub-op, register), ``flip_bits`` (fingerprint indices),
+    ``flip_slots`` (indices into ``error_keys``) and ``flip_places`` (each
+    row's place among its bit's rows, from 0); ``flip_salts`` (2 x n
     uint64) comes from ``_flipcore.stream_salts``.  ``initial_mapping`` and
     ``final_mapping`` are read-only ``MappingProxyType`` views, and logical
     qubits and registers are ints by ``_register``'s rule.
@@ -253,6 +254,7 @@ class TranspiledCircuit:
     flip_sites: np.ndarray = field(init=False, compare=False, repr=False)
     flip_bits: np.ndarray = field(init=False, compare=False, repr=False)
     flip_slots: np.ndarray = field(init=False, compare=False, repr=False)
+    flip_places: np.ndarray = field(init=False, compare=False, repr=False)
     flip_salts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -273,7 +275,8 @@ class TranspiledCircuit:
         bit_of = {q: i for i, q in enumerate(measured)}
         slot_of: dict[tuple, int] = {}  # error key -> slot, first use first
         seen_measures: list[int] = []
-        rows: list[int] = []  # flip table rows (op, sub, register, bit, slot), flattened
+        rows: list[int] = []  # flip table rows (op, sub, register, bit, slot, place), flattened
+        places = [0] * len(measured)  # rows so far per bit
         loc: Mapping[int, int] = initial
         measure = Gate.MEASURE
         for idx, op, events, loc in _walk(self.ops, initial):
@@ -283,7 +286,8 @@ class TranspiledCircuit:
             for sub, q, r in events:
                 bit = bit_of.get(q)
                 if bit is not None:
-                    rows += (idx, sub, r, bit, slot)
+                    rows += (idx, sub, r, bit, slot, places[bit])
+                    places[bit] += 1
         if sorted(seen_measures) != sorted(measured):
             raise CircuitError("MEASURE ops do not cover the measured qubit list")
         if len(self.ideal_output) != len(measured):
@@ -292,11 +296,12 @@ class TranspiledCircuit:
             raise CircuitError("ideal_output must be a bitstring")
         object.__setattr__(self, "final_mapping", MappingProxyType(dict(loc)))
         object.__setattr__(self, "error_keys", tuple(slot_of))
-        table = np.array(rows, dtype=np.int64).reshape(-1, 5)
+        table = np.array(rows, dtype=np.int64).reshape(-1, 6)
         for name, array in (
                 ("flip_sites", table[:, :3]),
                 ("flip_bits", table[:, 3]),
                 ("flip_slots", table[:, 4]),
+                ("flip_places", table[:, 5]),
                 ("flip_salts", stream_salts(table[:, :3]))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)

@@ -5,6 +5,14 @@ are driven by a fleet config file and probe specs; reports are emitted as
 JSON or CSV and contain no timestamps or environment state, so two runs
 with identical flags produce byte-identical output.
 
+``identify`` and ``sweep`` score array-wide.  Per probe they price every
+fitting device once into a (candidates × qubits) estimate array, run every
+job (one ``QuantumCloud.submit`` each), read all the jobs' outcomes into one
+(jobs × qubits) survival array, and compare the two as a (jobs ×
+candidates) distance array.  Every float equals what the per-fingerprint
+functions (``estimate_fingerprint``, ``survival_from_counts``,
+``manhattan_avg``), the one-row cases, give for that pair.
+
 Reports are written by ``ExperimentReport``.  JSON is the output of
 ``json.dumps(doc, indent=2, sort_keys=True)`` to the byte, but only
 ``kind``, ``params`` and ``summary`` go through that call: with an indent,
@@ -12,12 +20,12 @@ Reports are written by ``ExperimentReport``.  JSON is the output of
 of a scan.  The ``trials`` rows, the bulk of ``identify`` and ``sweep``
 reports, are written column by column: a column of only strings, only
 ints or only finite floats goes through the encoder ``json`` itself uses
-for that type, a column of dicts sharing one key set (identify's
-``distances``) is written the same way one level down, and any other
-column value by value with ``json.dumps``.  A row's text is then its keys'
-fixed prefixes interleaved with its cells.  CSV goes through
-``csv.writer`` with minimal quoting, so a probe label such as
-``bv:11@0,1,3`` stays one cell.
+for that type, a column of only bools is written as ``true``/``false``, a
+column of dicts sharing one key set (identify's ``distances``) is written
+the same way one level down, and any other column value by value with
+``json.dumps``.  A row's text is then its keys' fixed prefixes
+interleaved with its cells.  CSV goes through ``csv.writer`` with minimal
+quoting, so a probe label such as ``bv:11@0,1,3`` stays one cell.
 
 Exit codes: 0 for honest / fully identified, 2 when fraud (or an identity
 mismatch) is detected, 1 for configuration and I/O errors.
@@ -38,13 +46,15 @@ from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from ._flipcore import offset_seed
 from .circuit import CircuitError, TranspiledCircuit, compose_probe
 from .cloud import AttackConfig, QuantumCloud, load_fleet
-from .detector import DEFAULT_THRESHOLD, check_threshold, detect, manhattan_avg, match_device
+from .detector import DEFAULT_THRESHOLD, check_threshold, detect, distance_array, match_devices
 from .device import TopologyError, _index, load_profile
-from .devicesim import survival_from_counts
-from .estimator import Fingerprint, estimate_fingerprint, trace_survival
+from .devicesim import survival_array, survival_from_counts
+from .estimator import estimate_array, estimate_fingerprint, key_rates, trace_survival
 
 __all__ = [
     "ProbeSpec",
@@ -247,6 +257,9 @@ def _json_dicts(dicts: list[dict], indent: int) -> list[str]:
     return list(map("".join, zip(*parts)))
 
 
+_JSON_BOOL = {False: "false", True: "true"}
+
+
 def _json_column(values: list, indent: int):
     """Each value as the indented encoder writes it ``indent`` spaces in."""
     kinds = set(map(type, values))
@@ -254,6 +267,8 @@ def _json_column(values: list, indent: int):
         return map(encode_basestring_ascii, values)
     if kinds == {int}:
         return map(int.__repr__, values)
+    if kinds == {bool}:
+        return map(_JSON_BOOL.__getitem__, values)
     if kinds == {float} and all(map(math.isfinite, values)):
         return map(float.__repr__, values)
     if (kinds == {dict} and _one_key_set(values)
@@ -289,48 +304,56 @@ def _emit(report: ExperimentReport, args: argparse.Namespace, summary: str) -> N
 # --- experiment drivers -------------------------------------------------------
 
 
-def _fitting_estimates(cloud: QuantumCloud, circuit: TranspiledCircuit) -> dict[str, Fingerprint]:
-    """Expected fingerprint of every catalog device the circuit fits, in id order."""
-    expected = {}
+def _fleet_estimates(cloud: QuantumCloud,
+                     circuit: TranspiledCircuit) -> tuple[list[str], np.ndarray]:
+    """Ids of the catalog devices the circuit fits, in id order, and their
+    (devices × measured qubits) estimate array; each device is priced once."""
+    fitting, rates = [], []
     for device_id in cloud.device_ids():
         try:
-            expected[device_id] = estimate_fingerprint(circuit, cloud.get_profile(device_id))
+            rates.append(key_rates(circuit, cloud.get_profile(device_id)))
         except TopologyError:
             continue
-    return expected
+        fitting.append(device_id)
+    return fitting, estimate_array(circuit, np.array(rates))
 
 
 def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
                  seed: int) -> tuple[ExperimentReport, int]:
-    """Blind identification: probe every device, match against every candidate."""
+    """Blind identification: probe every device, match against every candidate.
+
+    Every device's job runs first; the jobs are then scored together, as
+    one survival row per job against the candidates' estimate array.
+    """
     circuit, reference = probe.build(cloud)
-    expected = _fitting_estimates(cloud, circuit)
-    candidates = list(expected)
+    candidates, expected = _fleet_estimates(cloud, circuit)
+    device_ids = cloud.device_ids()
+    seeds = [offset_seed(seed, i * rounds) for i in range(len(device_ids))]
+    jobs = {}
+    for device_id, row_seed in zip(device_ids, seeds):
+        try:
+            jobs[device_id] = cloud.submit(device_id, circuit, shots, rounds, row_seed).counts
+        except TopologyError:
+            continue
+    best, distances = match_devices(candidates, expected,
+                                    survival_array(list(jobs.values()), circuit.ideal_output))
+    if len(candidates) > 1:
+        ranked = np.sort(distances, axis=1)
+        margins = (ranked[:, 1] - ranked[:, 0]).tolist()
+    else:
+        margins = [None] * len(jobs)
+    scored = dict(zip(jobs, zip(best, margins, distances.tolist())))
 
     trials = []
-    correct = 0
-    ambiguous = []
-    for i, device_id in enumerate(cloud.device_ids()):
-        row_seed = offset_seed(seed, i * rounds)
-        try:
-            job = cloud.submit(device_id, circuit, shots, rounds, row_seed)
-        except TopologyError:
-            trials.append({"device": device_id, "seed": row_seed, "matched": None,
-                           "correct": False, "margin": None, "distances": None})
-            continue
-        observed = survival_from_counts(job.counts, circuit.ideal_output)
-        best, distances = match_device(expected, observed)
-        ranked = sorted(distances.values())
-        margin = ranked[1] - ranked[0] if len(ranked) > 1 else None
-        if margin is not None and margin < AMBIGUITY_MARGIN:
-            ambiguous.append(device_id)
-        if best == device_id:
-            correct += 1
-        trials.append({"device": device_id, "seed": row_seed, "matched": best,
-                       "correct": best == device_id, "margin": margin,
-                       "distances": distances})
-
+    for device_id, row_seed in zip(device_ids, seeds):
+        matched, margin, row = scored.get(device_id, (None, None, None))
+        trials.append({"device": device_id, "seed": row_seed, "matched": matched,
+                       "correct": matched == device_id, "margin": margin,
+                       "distances": None if row is None else dict(zip(candidates, row))})
     rows = len(trials)
+    correct = sum(trial["correct"] for trial in trials)
+    ambiguous = [device_id for device_id, (_, margin, _) in scored.items()
+                 if margin is not None and margin < AMBIGUITY_MARGIN]
     report = ExperimentReport(
         kind="identify",
         params={"probe": probe.label, "shots": shots, "rounds": rounds, "seed": seed,
@@ -431,22 +454,25 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
     for probe in probes:
         label, size = probe.label, probe.size
         circuit, _ = probe.build(cloud)
-        expected = _fitting_estimates(cloud, circuit)
-        for device_id in expected:
-            job_seed = offset_seed(seed, job_index * rounds)
-            job_index += 1
-            job = cloud.submit(device_id, circuit, shots, rounds, job_seed)
-            observed = survival_from_counts(job.counts, circuit.ideal_output)
-            for candidate in expected:
-                pair = "honest" if candidate == device_id else "cross"
-                distance = manhattan_avg(expected[candidate], observed)
-                trials.append({
-                    "probe": label, "size": size, "device": device_id,
+        fitting, expected = _fleet_estimates(cloud, circuit)
+        seeds = [offset_seed(seed, (job_index + k) * rounds) for k in range(len(fitting))]
+        job_index += len(fitting)
+        jobs = [cloud.submit(device_id, circuit, shots, rounds, job_seed).counts
+                for device_id, job_seed in zip(fitting, seeds)]
+        distances = distance_array(expected, survival_array(jobs, circuit.ideal_output))
+        trials += [{"probe": label, "size": size, "device": device_id,
                     "candidate": candidate, "seed": job_seed,
-                    "pair": pair, "distance": distance,
-                })
-                pooled[pair].append(distance)
-                sized.setdefault(size, {"honest": [], "cross": []})[pair].append(distance)
+                    "pair": "honest" if candidate == device_id else "cross",
+                    "distance": distance}
+                   for device_id, job_seed, row in zip(fitting, seeds, distances.tolist())
+                   for candidate, distance in zip(fitting, row)]
+        # the honest pairs are the diagonal; both keep the rows' job-major order
+        honest = np.eye(len(fitting), dtype=bool)
+        by_pair = sized.setdefault(size, {"honest": [], "cross": []})
+        for pair, mask in (("honest", honest), ("cross", ~honest)):
+            values = distances[mask].tolist()
+            pooled[pair] += values
+            by_pair[pair] += values
 
     def stats(values: list[float]) -> dict | None:
         if not values:
@@ -540,10 +566,35 @@ def trace(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise CommandError, so they exit 1."""
+    """A parser whose usage errors raise CommandError, so they exit 1.
+
+    argparse checks required options before it reports leftover arguments,
+    so a misspelt required option (``--fle``) would read as a missing one.
+    A failed parse is therefore tried again with every option optional, and
+    leftovers that parse finds are reported instead.
+    """
 
     def error(self, message):
         raise CommandError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        try:
+            return super().parse_known_args(args, namespace)
+        except CommandError:
+            required = [action for action in self._actions
+                        if action.required and action.option_strings]
+            if not required:
+                raise
+            for action in required:
+                action.required = False
+            try:
+                _, extras = super().parse_known_args(args, namespace)
+            finally:
+                for action in required:
+                    action.required = True
+            if extras:
+                raise CommandError(f"unrecognized arguments: {' '.join(extras)}") from None
+            raise
 
 
 def _out_dir(path: str) -> str:

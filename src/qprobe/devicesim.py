@@ -12,8 +12,9 @@ Flip opportunities mirror the user-side estimator's exactly: both read the
 circuit's one flip table and price it with ``estimator.key_rates``, and the
 parity oracle folds it with ``estimator.fold_flips``.  A job's outcomes stay
 packed words: ``Counts`` keeps the distinct words and their counts, formats
-its ``counts`` strings only when they are first read, and
-``survival_from_counts`` reads the words.
+its ``counts`` strings only when they are first read, and ``survival_array``
+reads the words of many jobs of one circuit at once, one row of per-qubit
+survivals per job; ``survival_from_counts`` is its one-job case.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "execute",
     "run_rounds",
     "exact_survival",
+    "survival_array",
     "survival_from_counts",
 ]
 
@@ -187,23 +190,38 @@ def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:
     qubit's opportunities.
     """
     parity = fold_flips(circuit, 1.0 - 2.0 * _flip_probs(circuit, noise))
-    return Fingerprint(tuple((1.0 + x) / 2.0 for x in parity))
+    return Fingerprint(tuple(((1.0 + parity) / 2.0).tolist()))
 
 
-def survival_from_counts(counts: Counts, ideal_output: str) -> Fingerprint:
-    """Per-qubit marginal survival: fraction of shots whose bit i came out ideal.
+def survival_array(counts: Sequence[Counts], ideal_output: str) -> np.ndarray:
+    """Per-qubit marginal survivals, one row per job: the fraction of the
+    job's shots whose bit i came out ideal.
 
-    Bit i's mismatches are counted over the distinct outcome words, and its
-    survival is (shots - mismatches) / shots.
+    Every job must have shots, and outcomes as wide as ``ideal_output``, a
+    bitstring.  The jobs' distinct words are pooled: bit i's mismatches are
+    counted over them, summed per job, and bit i survives with
+    (shots - mismatches) / shots.
     """
-    if not counts.shots:
+    shots = np.array([c.shots for c in counts], dtype=np.int64)
+    if not shots.all():
         raise ValueError("empty counts")
-    width = counts.width
-    if width != len(ideal_output):
+    width = len(ideal_output)
+    if any(c.width != width for c in counts):
         raise ValueError("ideal_output width does not match outcome strings")
     if ideal_output.strip("01"):
         raise ValueError("ideal_output must be a bitstring")
-    wrong = counts.words ^ np.uint64(int(ideal_output, 2) if width else 0)
+    wrong = np.concatenate([c.words for c in counts]) ^ np.uint64(
+        int(ideal_output, 2) if width else 0)
     mismatched = (wrong[:, None] >> np.arange(width, dtype=np.uint64)) & np.uint64(1)
-    flipped = counts.word_counts @ mismatched.astype(np.int64)
-    return Fingerprint(tuple((counts.shots - n) / counts.shots for n in flipped.tolist()))
+    weighted = mismatched.astype(np.int64) * np.concatenate(
+        [c.word_counts for c in counts])[:, None]
+    # a job with shots has a word, so each job's words are one non-empty run
+    starts = list(accumulate((len(c.words) for c in counts[:-1]), initial=0))
+    flipped = np.add.reduceat(weighted, starts, axis=0)
+    return (shots[:, None] - flipped) / shots[:, None]
+
+
+def survival_from_counts(counts: Counts, ideal_output: str) -> Fingerprint:
+    """Per-qubit marginal survival of one job: the one-row case of
+    ``survival_array``."""
+    return Fingerprint(tuple(survival_array([counts], ideal_output)[0].tolist()))

@@ -7,6 +7,11 @@ op's published error rate; a SWAP counts as its three constituent CNOTs and
 exchanges the two locations; a MEASURE applies the readout error of the
 register the qubit ends up on.  That pass is the circuit's flip table; an
 estimate prices it with ``key_rates`` and multiplies it out with ``fold_flips``.
+
+Estimates are arrays: ``estimate_array`` turns one row of key rates per
+device into one row of survivals per device, so a command that compares a
+probe with every device in a fleet prices each device once and folds them
+all together.  ``estimate_fingerprint`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ import numpy as np
 from .circuit import TranspiledCircuit, walk_ops
 from .device import DeviceProfile, TopologyError, topology_compatible
 
-__all__ = ["QubitTrack", "Fingerprint", "key_rates", "fold_flips", "estimate_fingerprint",
-           "trace_survival"]
+__all__ = ["QubitTrack", "Fingerprint", "check_survivals", "key_rates", "fold_flips",
+           "estimate_array", "estimate_fingerprint", "trace_survival"]
 
 
 @dataclass(frozen=True)
@@ -38,15 +43,20 @@ class Fingerprint:
     survivals: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for s in self.survivals:
-            if not (0.0 <= s <= 1.0):
-                raise ValueError(f"survival {s} outside [0, 1]")
+        check_survivals(np.array(self.survivals, dtype=np.float64))
 
     def __len__(self) -> int:
         return len(self.survivals)
 
     def __getitem__(self, index: int) -> float:
         return self.survivals[index]
+
+
+def check_survivals(survivals: np.ndarray) -> None:
+    """Raise ValueError naming the first survival outside [0, 1] (NaN included)."""
+    if not (survivals.min(initial=0.0) >= 0.0 and survivals.max(initial=1.0) <= 1.0):
+        bad = survivals[~((survivals >= 0.0) & (survivals <= 1.0))]
+        raise ValueError(f"survival {bad[0].item()} outside [0, 1]")
 
 
 def key_rates(circuit: TranspiledCircuit, profile: DeviceProfile) -> np.ndarray:
@@ -57,21 +67,37 @@ def key_rates(circuit: TranspiledCircuit, profile: DeviceProfile) -> np.ndarray:
     return np.array([profile.rate_for(key) for key in circuit.error_keys], dtype=np.float64)
 
 
-def fold_flips(circuit: TranspiledCircuit, factors: np.ndarray) -> list[float]:
-    """Per measured bit, the product of its flip rows' ``factors`` in row order."""
-    product = [1.0] * len(circuit.measured)
-    for factor, bit in zip(factors.tolist(), circuit.flip_bits.tolist()):
-        product[bit] *= factor
-    return product
+def fold_flips(circuit: TranspiledCircuit, factors: np.ndarray) -> np.ndarray:
+    """Per measured bit, the product of its flip rows' ``factors`` in row order.
+
+    ``factors`` holds one value per flip row along its last axis, and the
+    result one value per measured bit there.  Each row goes to its bit's line
+    at its ``flip_places`` column, the lines padded with 1.0, which leaves a
+    product unchanged; one ``np.multiply.accumulate`` along the lines then
+    multiplies each bit's factors left to right, as ``product *= factor``
+    would from 1.0.
+    """
+    places = circuit.flip_places
+    grid = np.ones((*factors.shape[:-1], len(circuit.measured), 1 + places.max(initial=0)))
+    grid[..., circuit.flip_bits, places] = factors
+    return np.multiply.accumulate(grid, axis=-1)[..., -1]
+
+
+def estimate_array(circuit: TranspiledCircuit, rates: np.ndarray) -> np.ndarray:
+    """Predicted survivals from key rates: ``rates`` holds one rate per
+    ``circuit.error_keys`` entry along its last axis (a row per device, each
+    as ``key_rates`` gives it), and the result one survival per measured
+    qubit there."""
+    return fold_flips(circuit, 1.0 - rates[..., circuit.flip_slots])
 
 
 def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> Fingerprint:
-    """Predicted survival per measured qubit under a published profile.
+    """Predicted survival per measured qubit under a published profile: the
+    one-row case of ``estimate_array``.
 
     Raises TopologyError when the circuit does not fit the profile's topology.
     """
-    rates = key_rates(circuit, profile)
-    return Fingerprint(tuple(fold_flips(circuit, 1.0 - rates[circuit.flip_slots])))
+    return Fingerprint(tuple(estimate_array(circuit, key_rates(circuit, profile)).tolist()))
 
 
 def trace_survival(circuit: TranspiledCircuit,

@@ -391,7 +391,7 @@ def test_compose_probe_single_part_matches_plain_transpile(data):
     assert composed.final_mapping == plain.final_mapping
     assert [op.error_key for op in composed.ops] == [op.error_key for op in plain.ops]
     assert composed.error_keys == plain.error_keys
-    for name in ("flip_sites", "flip_bits", "flip_slots", "flip_salts"):
+    for name in ("flip_sites", "flip_bits", "flip_slots", "flip_places", "flip_salts"):
         assert np.array_equal(getattr(composed, name), getattr(plain, name))
 
 

@@ -22,7 +22,7 @@ import pytest
 import fleetgen
 import qprobe.device
 from qprobe import (DeviceProfile, QuantumCloud, Topology, dump_profile, estimate_fingerprint,
-                    load_fleet)
+                    load_fleet, manhattan_avg, match_device, survival_from_counts)
 from qprobe.circuit import compose_probe
 from qprobe.cli import CommandError, ProbeSpec, main, parse_probe_args, parse_strategy
 
@@ -355,6 +355,18 @@ def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, mes
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def tiny_profile() -> DeviceProfile:
+    """A 2-qubit device that no 3-qubit probe fits."""
+    return DeviceProfile(
+        device_id="tiny",
+        topology=Topology(2, [(0, 1)]),
+        cnot_error={(0, 1): 0.01},
+        single_qubit_error={0: 0.0, 1: 0.0},
+        measurement_error={0: 0.01, 1: 0.01},
+        calibration_time=fleetgen.CAL_TIME,
+    )
+
+
 @pytest.mark.parametrize("command, message", [
     (["detect-sub", "--victim", "tiny", "--actual", "alpine"],
      "probe does not fit victim device 'tiny'"),
@@ -363,22 +375,78 @@ def test_malformed_fleet_configs_exit_one(tmp_path, entries, profile_update, mes
 ])
 def test_probe_that_does_not_fit_the_attacked_device_exits_one(tmp_path, command, message,
                                                                capsys):
-    tiny = DeviceProfile(
-        device_id="tiny",
-        topology=Topology(2, [(0, 1)]),
-        cnot_error={(0, 1): 0.01},
-        single_qubit_error={0: 0.0, 1: 0.0},
-        measurement_error={0: 0.01, 1: 0.01},
-        calibration_time=fleetgen.CAL_TIME,
-    )
     # the probe is built on alpine, the first device it fits
-    fleet = fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(), tiny])
+    fleet = fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(), tiny_profile()])
     for _ in range(2):  # the second run meets warm caches
         code = main([*command, "--fleet", str(fleet), *CORNER_PROBE])
         assert code == 1
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert captured.out == ""
+
+
+def test_identify_leaves_a_device_the_probe_does_not_fit_unscored(corner_fleet, tmp_path,
+                                                                 capsys):
+    fleet = fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(), tiny_profile()])
+    docs = []
+    for path, code in ((corner_fleet, 0), (fleet, 2)):
+        out = tmp_path / f"report-{code}"
+        assert main(["identify", "--fleet", str(path), *CORNER_PROBE, "--out", str(out)]) == code
+        docs.append(json.loads((out / "identify.json").read_text()))
+    assert "identify: 4/5 correct" in capsys.readouterr().out
+    without, with_tiny = docs
+    assert with_tiny["params"] == without["params"]
+    assert with_tiny["params"]["candidates"] == ["alpine", "boreal", "cascade", "dune"]
+    # tiny sorts last, so the other devices keep their job seeds and every number
+    *rows, tiny_row = with_tiny["trials"]
+    assert rows == without["trials"]
+    assert tiny_row == {"device": "tiny", "seed": 12, "matched": None, "correct": False,
+                        "margin": None, "distances": None}
+    assert with_tiny["summary"] == {"rows": 5, "correct": 4, "accuracy": 0.8,
+                                    "ambiguous": without["summary"]["ambiguous"]}
+
+
+def test_sweep_on_one_device_has_no_cross_pairs(grit_fleet, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(["sweep", "--fleet", str(grit_fleet), *CORNER_PROBE,
+                 "--probe", "bv:111", "--mapping", "0,1,2,3", "--out", str(out)]) == 0
+    assert "sweep: gap=None" in capsys.readouterr().out
+    doc = json.loads((out / "sweep.json").read_text())
+    assert [(t["size"], t["pair"]) for t in doc["trials"]] == [(3, "honest"), (4, "honest")]
+    summary = doc["summary"]
+    assert summary["gap"] is None
+    assert summary["note"] == "no cross pairs; gap not computable"
+    assert "gap_valid" not in summary and "threshold_in_gap" not in summary
+    assert summary["cross"] is None and summary["honest"]["n"] == 2
+    assert {size: (stats["honest"]["n"], stats["cross"])
+            for size, stats in summary["by_size"].items()} == {"3": (1, None), "4": (1, None)}
+
+
+@pytest.mark.parametrize("command", [
+    ["identify"],
+    ["sweep", "--probe", "bv:111", "--mapping", "0,1,2,3"],
+])
+def test_identify_and_sweep_score_without_the_per_fingerprint_functions(
+        corner_fleet, monkeypatch, command, capsys):
+    # a command scores all its jobs as arrays, whose rows the per-fingerprint
+    # functions only reproduce one at a time
+    calls = []
+    for original in (estimate_fingerprint, survival_from_counts, manhattan_avg, match_device):
+        def counted(*args, _original=original):
+            calls.append(_original.__name__)
+            return _original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "qprobe" or name.startswith("qprobe.")) \
+                    and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+    assert main([*command, "--fleet", str(corner_fleet), *CORNER_PROBE]) == 0
+    assert calls == []
+    # the patches are live: a detect-sub verdict goes through three of them once each
+    assert main(["detect-sub", "--fleet", str(corner_fleet), *CORNER_PROBE,
+                 "--victim", "alpine", "--actual", "alpine"]) == 0
+    assert sorted(calls) == ["estimate_fingerprint", "manhattan_avg", "survival_from_counts"]
+    capsys.readouterr()
 
 
 def test_identify_checks_topology_once_per_side(corner_fleet, monkeypatch, capsys):
@@ -421,6 +489,9 @@ def test_usage_errors_exit_one(tmp_path, monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        if "--fle" in argv:
+            # a misspelt required option is a leftover, not a missing option
+            assert captured.err.startswith("error: unrecognized arguments: --fle "), argv
     assert submitted == []
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import fleetgen
 from qprobe import (DEFAULT_THRESHOLD, ErrorVector, Fingerprint, detect, error_vector, fabricate,
                     manhattan_avg)
-from qprobe.detector import match_device, static_match
+from qprobe.detector import distance_array, match_device, match_devices, static_match
 
 survival = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 triples = st.integers(min_value=1, max_value=8).flatmap(
@@ -59,6 +60,49 @@ def test_distances_add_left_to_right(pairs):
     _, distances = static_match({"a": ErrorVector(tuple(zip(labels, xs)))},
                                 ErrorVector(tuple(zip(labels, ys))))
     assert distances["a"] == left_to_right(xs, ys)
+
+
+# dyadic survivals make equal distances, and so ties, common
+tie_prone = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | survival
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_distance_array_entries_equal_manhattan_avg(data):
+    width = data.draw(st.integers(min_value=1, max_value=9))
+    pool = data.draw(st.lists(st.tuples(*[tie_prone] * width), min_size=1, max_size=4))
+    # rows drawn from a small pool, so equal rows are common too
+    expected = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    observed = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    distances = distance_array(np.array(expected), np.array(observed))
+    assert distances.shape == (len(observed), len(expected))
+    for j, ys in enumerate(observed):
+        for c, xs in enumerate(expected):
+            assert distances[j, c] == manhattan_avg(Fingerprint(xs), Fingerprint(ys)) \
+                == left_to_right(xs, ys) / width
+    # candidate ids out of row order: the tie rule reads the ids, not the rows
+    names = data.draw(st.permutations([f"d{c}" for c in range(len(expected))]))
+    best, same = match_devices(names, np.array(expected), np.array(observed))
+    assert np.array_equal(same, distances)
+    candidates = dict(zip(names, map(Fingerprint, expected)))
+    for j, ys in enumerate(observed):
+        one, by_name = match_device(candidates, Fingerprint(ys))
+        assert best[j] == one == min(sorted(names), key=by_name.__getitem__)
+        assert list(by_name.values()) == distances[j].tolist()
+
+
+def test_distance_array_checks_its_inputs():
+    with pytest.raises(ValueError, match="same length"):
+        distance_array(np.zeros((2, 3)), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="non-empty"):
+        distance_array(np.zeros((2, 0)), np.zeros((1, 0)))
+    for bad in (1.5, -0.25, math.nan):
+        with pytest.raises(ValueError, match=f"survival {bad} outside"):
+            distance_array(np.array([[0.5, bad]]), np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match=f"survival {bad} outside"):
+            distance_array(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5], [bad, 0.5]]))
+    with pytest.raises(ValueError, match="no candidates"):
+        match_devices([], np.zeros((0, 2)), np.zeros((1, 2)))
 
 
 def test_detect_boundary_is_strict():

@@ -49,7 +49,7 @@ from qprobe._flipcore import (
     stream_salts,
 )
 from qprobe.circuit import Gate, TranspiledCircuit, TranspiledOp, bit_at, build_bv, transpile
-from qprobe.devicesim import _MAX_POOLED_SHOTS, _flip_probs
+from qprobe.devicesim import _MAX_POOLED_SHOTS, _flip_probs, survival_array
 
 
 def single_qubit_circuit() -> TranspiledCircuit:
@@ -482,6 +482,33 @@ def test_survivals_from_words_equal_the_string_fold():
         flipped = "".join("10"[int(c)] for c in circ.ideal_output)
         assert survival_from_counts(pooled, flipped).survivals == \
             survival_by_string_fold(pooled, flipped)
+
+
+def test_survival_array_rows_equal_the_per_job_survivals():
+    rng = np.random.default_rng(11)
+    circ, noise = fleetgen.random_fixture(rng)
+    ideal = circ.ideal_output
+    flipped = "".join("10"[int(c)] for c in ideal)
+    jobs = [run_rounds(circ, NoiseSpec(noise.true_profile, hidden_rate=hidden), shots=shots,
+                       rounds=rounds, seed=k)
+            for k, (hidden, shots, rounds) in enumerate([(0.0, 50, 1), (0.05, 300, 2),
+                                                         (0.3, 700, 3)])]
+    # parsed from mappings too: one word, and a zero count among the words
+    jobs += [Counts(jobs[2].counts), Counts({ideal: 9}), Counts({flipped: 3, ideal: 0})]
+    assert len({len(job.words) for job in jobs}) >= 4
+    for reference in (ideal, flipped):
+        rows = survival_array(jobs, reference)
+        assert rows.shape == (len(jobs), len(ideal))
+        for job, row in zip(jobs, rows.tolist()):
+            assert tuple(row) == survival_from_counts(job, reference).survivals \
+                == survival_by_string_fold(job, reference)
+    # one array test each, whichever job fails it
+    with pytest.raises(ValueError, match="empty counts"):
+        survival_array([*jobs, Counts({ideal: 0})], ideal)
+    with pytest.raises(ValueError, match="width"):
+        survival_array([*jobs, Counts({ideal + "1": 4})], ideal)
+    with pytest.raises(ValueError, match="bitstring"):
+        survival_array(jobs, ideal[:-1] + "x")
 
 
 def test_counts_from_strings_and_from_words_agree():

@@ -8,15 +8,19 @@ change to the order of the products shows here before it moves a report.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import fleetgen
 from qprobe import (DeviceProfile, NoiseSpec, Topology, estimate_fingerprint, exact_survival,
-                    fabricate)
+                    fabricate, load_profile)
 from qprobe.circuit import (Gate, TranspiledCircuit, TranspiledOp, build_bv, compose_probe,
                             transpile, walk_ops)
-from qprobe.estimator import Fingerprint, trace_survival
+from qprobe.estimator import Fingerprint, estimate_array, key_rates, trace_survival
+
+DEMO_DIR = Path(__file__).resolve().parents[1] / "fleets" / "demo"
 
 
 def chain_circuit() -> TranspiledCircuit:
@@ -139,6 +143,37 @@ def test_estimate_and_oracle_equal_the_per_event_fold_bit_for_bit(circuit, noise
     assert exact_survival(circuit, noise).survivals == tuple((1.0 + x) / 2.0 for x in parity)
 
 
+def fleets():
+    """Devices sharing a topology: the committed demo files, the generated
+    corner and grit devices, and the 127-qubit drift lines."""
+    demo = [load_profile(path.read_text()) for path in sorted(DEMO_DIR.glob("*.json"))
+            if not path.name.startswith("fleet")]
+    return {"demo": demo, "corner": [*fleetgen.corner_profiles(), fleetgen.grit_profile()],
+            "drift": fleetgen.drift_profiles()}
+
+
+def fleet_probe_cases():
+    """Every fleet with each sized probe of the scan workload; the drift
+    lines also with their own placements."""
+    sized = [(secret, mapping) for secret, mappings in fleetgen.SIZED_PROBES
+             for mapping in mappings]
+    drift = [probe for placements in fleetgen.DRIFT_PROBES.values() for probe in placements]
+    return [pytest.param(name, secret, mapping, id=f"{name}-{secret}@{mapping}")
+            for name in fleets()
+            for secret, mapping in sized + (drift if name == "drift" else [])]
+
+
+@pytest.mark.parametrize("fleet, secret, mapping", fleet_probe_cases())
+def test_estimate_array_rows_equal_the_per_device_estimate(fleet, secret, mapping):
+    profiles = fleets()[fleet]
+    circuit = compose_probe([(secret, mapping)], profiles[0].topology)
+    rows = estimate_array(circuit, np.array([key_rates(circuit, p) for p in profiles]))
+    assert rows.shape == (len(profiles), len(circuit.measured))
+    for profile, row in zip(profiles, rows.tolist()):
+        assert tuple(row) == estimate_fingerprint(circuit, profile).survivals == per_event_fold(
+            circuit, lambda ev: 1.0 - profile.rate_for(ev.error_key))
+
+
 def hand_built_cases():
     """The walk's corner cases: a SWAP, two composed parts, a ring, no ops."""
     def line(n):
@@ -177,12 +212,15 @@ def test_flips_are_the_measured_events_of_the_walk(circuit, noise):
     assert circuit.flip_bits.tolist() == [bit_of[ev.logical] for ev in events]
     assert [circuit.error_keys[i] for i in circuit.flip_slots.tolist()] == \
         [ev.error_key for ev in events]
+    bits = [bit_of[ev.logical] for ev in events]
+    assert circuit.flip_places.tolist() == [bits[:i].count(bit) for i, bit in enumerate(bits)]
     gamma = 0x9E3779B97F4A7C15
     assert circuit.flip_salts.tolist() == [
         [(ev.op_index * 4 + ev.sub + 1) * gamma % 2**64 for ev in events],
         [(ev.register + 1) * gamma % 2**64 for ev in events]]
-    for array in (circuit.flip_sites, circuit.flip_bits, circuit.flip_slots):
+    for array in (circuit.flip_sites, circuit.flip_bits, circuit.flip_slots, circuit.flip_places):
         assert array.dtype == np.int64
     assert circuit.flip_salts.dtype == np.uint64
-    for array in (circuit.flip_sites, circuit.flip_bits, circuit.flip_slots, circuit.flip_salts):
+    for array in (circuit.flip_sites, circuit.flip_bits, circuit.flip_slots, circuit.flip_places,
+                  circuit.flip_salts):
         assert not array.flags.writeable
