@@ -14,6 +14,15 @@ top 53 bits of u, scaled to [0, 1), fall below p.  Both kernels take the
 same arguments, (ideal, keys, thresholds, bits, shots), and make that one
 integer test.
 
+The arguments follow one block contract: B blocks over one circuit's n
+events.  ``ideal`` holds one ideal word per block (a single word is one
+block), ``bits`` the n events' target bits, and ``keys`` and ``thresholds``
+are flat arrays of B * n entries, block after block, so that the block
+count comes from ``ideal`` and never from a second axis of ``keys``.  The
+kernel returns B x shots words, or shots words for a single ideal word.
+The simulator makes each job of a probe one block, so one call samples one
+round of every job; rounds stay separate calls.
+
 A stream key depends on the seed only through its first mix, so a circuit
 keeps two seed-free salts per event (``stream_salts``): (op * 4 + sub + 1) *
 gamma and (register + 1) * gamma.  ``salted_keys`` mixes each seed once and
@@ -38,10 +47,12 @@ z ^= z >> 30, z *= MIX1, z ^= z >> 27, z *= MIX2, z ^= z >> 31:
     step and the exact test u < t; each hit xors its bit into its shot's
     word.
 
-Xor does not depend on order, so events need no sorting.  Candidates are
+Tiles run over the flat B * n events, so a tile may span blocks; a hit
+finds its block and its event's bit from its flat event index.  Xor does
+not depend on order, so events need no sorting.  Candidates are
 pooled across tiles and finished whenever the pool reaches ``_TILE`` and
-once at the end, so a call's memory is O(shots) plus a few tiles, whatever
-its number of events.
+once at the end, so a call's memory is its B x shots output plus a few
+tiles, whatever its number of events.
 """
 
 from __future__ import annotations
@@ -156,24 +167,40 @@ def _shot_halves(shots: int) -> np.ndarray:
     return salts
 
 
-def sample_packed_numpy(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
-                        bits: np.ndarray, shots: int) -> np.ndarray:
-    """Vectorized reference sampler: one packed outcome word per shot.
+def _block_ideals(ideal) -> np.ndarray:
+    """``ideal`` as a uint64 array of one word, or of one word per block."""
+    ideal = np.asarray(ideal, dtype=np.uint64)
+    if ideal.ndim > 1:
+        raise ValueError(f"ideal must be one word or one word per block, got shape {ideal.shape}")
+    return ideal
 
-    ``keys`` are uint64 stream keys, ``thresholds`` the uint64 flip
-    thresholds from ``flip_thresholds`` and ``bits`` the target bit of each
-    event, in [0, 64).  Its memory is O(shots) plus a few tiles of ``_TILE``
-    words, whatever the number of events.
+
+def sample_packed_numpy(ideal, keys: np.ndarray, thresholds: np.ndarray,
+                        bits: np.ndarray, shots: int) -> np.ndarray:
+    """Vectorized reference sampler: one packed outcome word per block and shot.
+
+    ``ideal`` is one ideal word per block, a 1-D array of B words, or a
+    single word for one block.  ``bits`` holds the target bit, in [0, 64),
+    of each of the circuit's n events; ``keys`` (uint64 stream keys) and
+    ``thresholds`` (uint64 flip thresholds from ``flip_thresholds``) are flat
+    arrays of B * n entries, block after block.  The words come back as a
+    (B, shots) array, or (shots,) for a single ideal word.  Its memory is
+    the output plus a few tiles of ``_TILE`` words, whatever the number of
+    events.
     """
-    if not len(keys) == len(thresholds) == len(bits):
-        raise ValueError(f"{len(keys)} keys, {len(thresholds)} thresholds and "
-                         f"{len(bits)} bits: need one of each per event")
+    ideal = _block_ideals(ideal)
     bits = np.asarray(bits, dtype=np.int64)
+    if not len(keys) == len(thresholds) == ideal.size * len(bits):
+        raise ValueError(f"{len(keys)} keys, {len(thresholds)} thresholds, {ideal.size} "
+                         f"blocks and {len(bits)} bits: need one key and threshold per "
+                         "block and event")
     if len(bits) and not 0 <= bits.min() <= bits.max() < 64:
         raise ValueError(f"target bits must lie in [0, 64), got {bits.min()}..{bits.max()}")
-    out = np.full(shots, ideal, dtype=np.uint64)
+    out = np.empty(ideal.shape + (shots,), dtype=np.uint64)
+    out[...] = ideal[..., None]
     if len(keys) == 0 or shots == 0:
         return out
+    flat = out.reshape(-1)
     # (a): the first step of mix64(k ^ s * gamma), split into its two halves
     salts = _shot_halves(shots)
     halves = keys ^ (keys >> np.uint64(30))
@@ -202,9 +229,14 @@ def sample_packed_numpy(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
             pool_at.append(at + lo * shots)
             pooled += len(at)
         if pooled and (pooled >= _TILE or hi == len(keys)):  # finish the candidates
-            z, (event, shot) = np.concatenate(pool_z), np.divmod(np.concatenate(pool_at), shots)
+            z, at = np.concatenate(pool_z), np.concatenate(pool_at)
+            event = at // shots
             hit = z ^ (z >> np.uint64(31)) < thresholds[event]
-            np.bitwise_xor.at(out, shot[hit], masks[event[hit]])
+            at, event = at[hit], event[hit]
+            # at = event * shots + shot, and the hit's word is block * shots + shot
+            block = event // len(bits)
+            np.bitwise_xor.at(flat, at - (event - block) * shots,
+                              masks[event - block * len(bits)])
             pool_z, pool_at, pooled = [], [], 0
     return out
 
@@ -214,10 +246,12 @@ def compiled_sampler(ext):
 
     Same arguments and output as ``sample_packed_numpy``.
     """
-    def sample_packed_compiled(ideal: int, keys: np.ndarray, thresholds: np.ndarray,
+    def sample_packed_compiled(ideal, keys: np.ndarray, thresholds: np.ndarray,
                                bits: np.ndarray, shots: int) -> np.ndarray:
-        out = np.empty(shots, dtype=np.uint64)
-        ext.sample_packed(ideal, np.ascontiguousarray(keys, dtype=np.uint64),
+        ideal = _block_ideals(ideal)
+        out = np.empty(ideal.shape + (shots,), dtype=np.uint64)
+        ext.sample_packed(np.ascontiguousarray(ideal.reshape(-1)),
+                          np.ascontiguousarray(keys, dtype=np.uint64),
                           np.ascontiguousarray(thresholds, dtype=np.uint64),
                           np.ascontiguousarray(bits, dtype=np.int64), shots, out)
         return out

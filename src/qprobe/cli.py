@@ -5,9 +5,11 @@ are driven by a fleet config file and probe specs; reports are emitted as
 JSON or CSV and contain no timestamps or environment state, so two runs
 with identical flags produce byte-identical output.
 
-``identify`` and ``sweep`` score array-wide.  Per probe they price every
-fitting device once into a (candidates × qubits) estimate array, run every
-job (one ``QuantumCloud.submit`` each), read all the jobs' outcomes into one
+``identify`` and ``sweep`` sample and score array-wide.  Per probe they
+price every fitting device once into a (candidates × qubits) estimate
+array, submit every job (one ``QuantumCloud.submit`` each) inside one
+``QuantumCloud.batch``, so that all the probe's jobs are sampled in one
+kernel call per round, read all the jobs' outcomes into one
 (jobs × qubits) survival array, and compare the two as a (jobs ×
 candidates) distance array.  Every float equals what the per-fingerprint
 functions (``estimate_fingerprint``, ``survival_from_counts``,
@@ -330,13 +332,14 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
     device_ids = cloud.device_ids()
     seeds = [offset_seed(seed, i * rounds) for i in range(len(device_ids))]
     jobs = {}
-    for device_id, row_seed in zip(device_ids, seeds):
-        try:
-            jobs[device_id] = cloud.submit(device_id, circuit, shots, rounds, row_seed).counts
-        except TopologyError:
-            continue
-    best, distances = match_devices(candidates, expected,
-                                    survival_array(list(jobs.values()), circuit.ideal_output))
+    with cloud.batch():
+        for device_id, row_seed in zip(device_ids, seeds):
+            try:
+                jobs[device_id] = cloud.submit(device_id, circuit, shots, rounds, row_seed)
+            except TopologyError:
+                continue
+    observed = survival_array([job.counts for job in jobs.values()], circuit.ideal_output)
+    best, distances = match_devices(candidates, expected, observed)
     if len(candidates) > 1:
         ranked = np.sort(distances, axis=1)
         margins = (ranked[:, 1] - ranked[:, 0]).tolist()
@@ -457,9 +460,11 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
         fitting, expected = _fleet_estimates(cloud, circuit)
         seeds = [offset_seed(seed, (job_index + k) * rounds) for k in range(len(fitting))]
         job_index += len(fitting)
-        jobs = [cloud.submit(device_id, circuit, shots, rounds, job_seed).counts
-                for device_id, job_seed in zip(fitting, seeds)]
-        distances = distance_array(expected, survival_array(jobs, circuit.ideal_output))
+        with cloud.batch():
+            jobs = [cloud.submit(device_id, circuit, shots, rounds, job_seed)
+                    for device_id, job_seed in zip(fitting, seeds)]
+        observed = survival_array([job.counts for job in jobs], circuit.ideal_output)
+        distances = distance_array(expected, observed)
         trials += [{"probe": label, "size": size, "device": device_id,
                     "candidate": candidate, "seed": job_seed,
                     "pair": "honest" if candidate == device_id else "cross",

@@ -9,6 +9,13 @@ Three operating modes model a provider:
 * fabrication - one device advertises a doctored calibration profile while
   still executing with its true noise.
 
+Jobs submitted inside ``QuantumCloud.batch`` are routed, checked and priced
+at ``submit``, but sampled together when the scope closes: jobs of one
+circuit, shot count and round count make one sampler call per round, one
+block per job (see ``devicesim.sample_jobs``).  A lone ``submit`` samples
+its job at once through ``run_rounds``, one sampler call per round.  The
+counts are the same either way.
+
 Users of the platform only ever see advertised profiles and counts.
 ``JobResult.executed_on`` and ``QuantumCloud.true_entry`` expose ground
 truth for experiment scoring and tests; detection code must not read them.
@@ -16,14 +23,15 @@ truth for experiment scoring and tests; detection code must not read them.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .circuit import TranspiledCircuit
 from .device import DeviceProfile, ProfileError, _unique_keys, fabricate, load_profile
-from .devicesim import Counts, NoiseSpec, run_rounds
+from .devicesim import Counts, Job, NoiseSpec, prepare_job, run_rounds, sample_jobs
 
 __all__ = [
     "CatalogEntry",
@@ -97,12 +105,18 @@ class JobResult:
 
     ``executed_on`` records where the job really ran; it exists for scoring
     experiments and is not available to detection logic, which sees only the
-    counts.
+    counts.  The counts of a job submitted inside ``QuantumCloud.batch`` are
+    sampled when the batch closes; reading them before then, or after the
+    batch ended in an error, raises RuntimeError.
     """
 
-    counts: Counts
+    _outcome: Counts | Job = field(repr=False)
     requested: str
     executed_on: str
+
+    @property
+    def counts(self) -> Counts:
+        return self._outcome.counts if isinstance(self._outcome, Job) else self._outcome
 
 
 class QuantumCloud:
@@ -112,6 +126,7 @@ class QuantumCloud:
         self._catalog: dict[str, CatalogEntry] = {}
         self._attack = AttackConfig.honest()
         self._forged: dict[str, DeviceProfile] = {}
+        self._batch: list[Job] | None = None
 
     @property
     def attack(self) -> AttackConfig:
@@ -149,16 +164,38 @@ class QuantumCloud:
                rounds: int, seed: int) -> JobResult:
         """Run a probe, honouring whatever attack mode is active.
 
-        Raises TopologyError (from ``run_rounds``) when the circuit does not
-        fit the device that would actually execute it.
+        Raises TopologyError when the circuit does not fit the device that
+        would actually execute it, and ValueError for bad shots, rounds or
+        seed (see ``devicesim.prepare_job``), inside a batch too.
         """
         target = self._entry(device_id)
         attack = self._attack
         if attack.mode == "substitution" and attack.victim == device_id:
             target = self._entry(attack.actual)
-        counts: Counts = run_rounds(circuit, target.true_noise, shots, rounds, seed)
-        return JobResult(counts=counts, requested=device_id,
-                         executed_on=target.device_id)
+        if self._batch is None:
+            outcome = run_rounds(circuit, target.true_noise, shots, rounds, seed)
+        else:
+            outcome = prepare_job(circuit, target.true_noise, shots, rounds, seed)
+            self._batch.append(outcome)
+        return JobResult(outcome, requested=device_id, executed_on=target.device_id)
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Defer the sampling of every job submitted in the scope to its close.
+
+        Each ``submit`` still routes, checks and prices its job at once, and
+        raises there.  At the close the jobs are sampled together (see
+        ``devicesim.sample_jobs``); if an exception leaves the scope,
+        nothing is sampled.  Batches do not nest.
+        """
+        if self._batch is not None:
+            raise RuntimeError("batches do not nest")
+        self._batch = jobs = []
+        try:
+            yield
+        finally:
+            self._batch = None
+        sample_jobs(jobs)
 
     def true_entry(self, device_id: str) -> CatalogEntry:
         """Ground-truth catalog entry; diagnostic hook for tests and scoring."""

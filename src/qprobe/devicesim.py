@@ -10,11 +10,22 @@ opportunities fire.
 
 Flip opportunities mirror the user-side estimator's exactly: both read the
 circuit's one flip table and price it with ``estimator.key_rates``, and the
-parity oracle folds it with ``estimator.fold_flips``.  A job's outcomes stay
-packed words: ``Counts`` keeps the distinct words and their counts, formats
-its ``counts`` strings only when they are first read, and ``survival_array``
-reads the words of many jobs of one circuit at once, one row of per-qubit
-survivals per job; ``survival_from_counts`` is its one-job case.
+parity oracle folds it with ``estimator.fold_flips``.
+
+A job is checked and priced by ``prepare_job`` and sampled by
+``sample_jobs``.  Jobs of one circuit, shot count and round count are
+sampled together: each job is one block of the sampler's block contract
+(see ``_flipcore``), so a round of all of them is one sampler call.  Rounds
+stay separate calls, each with its own seeds.  All the jobs' pooled words
+are then counted in one pass over a (jobs × pooled shots) array.
+``run_rounds`` is the one-job case, and ``QuantumCloud.batch`` gathers the
+jobs of one probe.
+
+A job's outcomes stay packed words: ``Counts`` keeps the distinct words and
+their counts, formats its ``counts`` strings only when they are first read,
+and ``survival_array`` reads the words of many jobs of one circuit at once,
+one row of per-qubit survivals per job; ``survival_from_counts`` is its
+one-job case.
 """
 
 from __future__ import annotations
@@ -37,6 +48,9 @@ __all__ = [
     "Counts",
     "TopologyError",
     "execute",
+    "Job",
+    "prepare_job",
+    "sample_jobs",
     "run_rounds",
     "exact_survival",
     "survival_array",
@@ -154,15 +168,37 @@ def execute(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int, seed: int)
     return run_rounds(circuit, noise, shots, rounds=1, seed=seed)
 
 
-def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
-               rounds: int, seed: int) -> Counts:
-    """Pool several executions with per-round derived seeds (round r uses
-    ``offset_seed(seed, r)``, i.e. seed + r).
+class Job:
+    """A checked and priced job whose rounds are sampled later by ``sample_jobs``.
+
+    ``seeds`` holds each round's seed and ``thresholds`` the flip threshold
+    of each of the circuit's flip rows.  ``counts`` raises RuntimeError
+    until the job has been sampled.
+    """
+
+    __slots__ = ("circuit", "shots", "rounds", "seeds", "thresholds", "_counts")
+
+    def __init__(self, circuit: TranspiledCircuit, shots: int, rounds: int,
+                 seeds: list[int], thresholds: np.ndarray) -> None:
+        self.circuit, self.shots, self.rounds = circuit, shots, rounds
+        self.seeds, self.thresholds, self._counts = seeds, thresholds, None
+
+    @property
+    def counts(self) -> Counts:
+        if self._counts is None:
+            raise RuntimeError("a batched job is sampled when its batch closes without "
+                               "an error; this one was not sampled")
+        return self._counts
+
+
+def prepare_job(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
+                rounds: int, seed: int) -> Job:
+    """Check and price a job of ``rounds`` executions; round r uses
+    ``offset_seed(seed, r)``, i.e. seed + r.
 
     Rounds, shots and their product (at most ``_MAX_POOLED_SHOTS``) are
-    checked first, then the seed.  The circuit is checked, priced and given
-    its flip thresholds once, every round's stream keys are derived at once,
-    each round samples, and the pooled words are counted in one pass.
+    checked first, then the seed, then the circuit's fit and flip
+    probabilities (``_flip_probs``).  Nothing is sampled.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
@@ -172,14 +208,79 @@ def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
         raise ValueError(f"shots {shots} x rounds {rounds} exceeds the {_MAX_POOLED_SHOTS} "
                          "shots one job may pool")
     seeds = [offset_seed(seed, r) for r in range(rounds)]
-    thresholds = flip_thresholds(_flip_probs(circuit, noise))
+    return Job(circuit, shots, rounds, seeds, flip_thresholds(_flip_probs(circuit, noise)))
+
+
+def sample_jobs(jobs: Sequence[Job]) -> None:
+    """Sample every job, and count each one's pooled words into its ``counts``.
+
+    Jobs sharing a circuit object, a shot count and a round count are
+    sampled together, one block per job, in one sampler call per round;
+    more of them than ``_MAX_POOLED_SHOTS`` pooled words hold run as
+    consecutive groups.  Every draw is a pure function of its stream key
+    and shot, so a job's counts do not depend on which jobs share its
+    calls.
+    """
+    alike: dict[tuple, list[Job]] = {}
+    for job in jobs:
+        alike.setdefault((id(job.circuit), job.shots, job.rounds), []).append(job)
+    for group in alike.values():
+        step = max(1, _MAX_POOLED_SHOTS // (group[0].shots * group[0].rounds))
+        for lo in range(0, len(group), step):
+            _sample_blocks(group[lo:lo + step])
+
+
+def _sample_blocks(jobs: list[Job]) -> None:
+    """Sample jobs of one circuit, shot count and round count as blocks of
+    one sampler call per round, and count each job's words."""
+    circuit, shots, rounds = jobs[0].circuit, jobs[0].shots, jobs[0].rounds
     width = len(circuit.measured)
-    ideal = int(circuit.ideal_output, 2) if width else 0
-    keys = salted_keys(seeds, circuit.flip_salts)
-    packed = np.concatenate([
-        get_sampler()(ideal, round_keys, thresholds, circuit.flip_bits, shots)
-        for round_keys in keys])
-    return Counts._from_words(*np.unique(packed, return_counts=True), width)
+    ideals = np.full(len(jobs), int(circuit.ideal_output, 2) if width else 0, dtype=np.uint64)
+    # round-major, so that each round's keys are one flat run of blocks
+    keys = salted_keys([job.seeds[r] for r in range(rounds) for job in jobs],
+                       circuit.flip_salts).reshape(rounds, -1)
+    thresholds = np.concatenate([job.thresholds for job in jobs])
+    # one row of pooled words per job, filled a round at a time
+    words = np.empty((len(jobs), rounds * shots), dtype=np.uint64)
+    sampler = get_sampler()
+    for r, round_keys in enumerate(keys):
+        words[:, r * shots:(r + 1) * shots] = sampler(ideals, round_keys, thresholds,
+                                                      circuit.flip_bits, shots)
+    for job, counts in zip(jobs, _count_rows(words, width)):
+        job._counts = counts
+
+
+def _count_rows(words: np.ndarray, width: int) -> list[Counts]:
+    """Counts of each row of a (jobs × pooled shots) word array, in one pass
+    over all rows; sorts ``words`` in place.  Each row's distinct words are
+    the runs of its sorted words, as ``np.unique`` finds them in one row."""
+    pooled = words.shape[1]
+    words.sort(axis=1)
+    flat = words.reshape(-1)
+    # where each run starts, and one past the last word, which ends the last run
+    starts = np.empty(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:-1])
+    starts[:-1:pooled] = starts[-1] = True  # every row starts a run
+    at = np.flatnonzero(starts)
+    distinct, word_counts = flat[at[:-1]], at[1:] - at[:-1]
+    ends = np.searchsorted(at, np.arange(pooled, flat.size + 1, pooled)).tolist()
+    return [Counts._from_words(distinct[lo:hi], word_counts[lo:hi], width)
+            for lo, hi in zip([0, *ends], ends)]
+
+
+def run_rounds(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
+               rounds: int, seed: int) -> Counts:
+    """Pool several executions with per-round derived seeds (round r uses
+    ``offset_seed(seed, r)``, i.e. seed + r): the one-job case of
+    ``prepare_job`` and ``sample_jobs``.
+
+    The job is checked and priced once, every round's stream keys are
+    derived at once, each round is one sampler call, and the pooled words
+    are counted in one pass.
+    """
+    job = prepare_job(circuit, noise, shots, rounds, seed)
+    sample_jobs([job])
+    return job.counts
 
 
 def exact_survival(circuit: TranspiledCircuit, noise: NoiseSpec) -> Fingerprint:

@@ -21,6 +21,7 @@ import pytest
 
 import fleetgen
 import qprobe.device
+import qprobe.devicesim
 from qprobe import (DeviceProfile, QuantumCloud, Topology, dump_profile, estimate_fingerprint,
                     load_fleet, manhattan_avg, match_device, survival_from_counts)
 from qprobe.circuit import compose_probe
@@ -465,6 +466,56 @@ def test_identify_checks_topology_once_per_side(corner_fleet, monkeypatch, capsy
     capsys.readouterr()
     # per device: the estimate on the user side and the run on the platform side
     assert len(calls) == 2 * 4
+
+
+def count_sampler_calls_and_jobs(monkeypatch) -> tuple[list[int], list[int]]:
+    """Two lists the runs fill: each sampler call's flip evaluations, shots x
+    len(keys), and each job's, shots x rounds x events, one per
+    ``QuantumCloud.submit`` that returned."""
+    calls, jobs = [], []
+    sampler = qprobe.devicesim.get_sampler()
+
+    def counted(ideal, keys, thresholds, bits, shots):
+        calls.append(shots * len(keys))
+        return sampler(ideal, keys, thresholds, bits, shots)
+
+    submit = QuantumCloud.submit
+
+    def submitted(self, device_id, circuit, shots, rounds, seed):
+        job = submit(self, device_id, circuit, shots, rounds, seed)
+        jobs.append(shots * rounds * len(circuit.flip_bits))
+        return job
+
+    monkeypatch.setattr(qprobe.devicesim, "get_sampler", lambda: counted)
+    monkeypatch.setattr(QuantumCloud, "submit", submitted)
+    return calls, jobs
+
+
+def test_a_lone_submit_makes_one_sampler_call_per_round(monkeypatch):
+    calls, jobs = count_sampler_calls_and_jobs(monkeypatch)
+    cloud = load_fleet(DEMO_FLEET)
+    circuit = compose_probe([("11", (0, 1, 3))], cloud.get_profile("alpine").topology)
+    cloud.submit("alpine", circuit, 100, 2, 7)
+    assert len(calls) == 2 and len(jobs) == 1
+    assert sum(calls) == sum(jobs) == 100 * 2 * len(circuit.flip_bits)
+
+
+@pytest.mark.parametrize("command, rounds, probes", [
+    (["identify", *CORNER_PROBE], 3, 1),
+    (["sweep", *CORNER_PROBE, "--probe", "bv:111", "--mapping", "0,1,2,3"], 2, 2),
+])
+def test_a_probe_samples_all_its_jobs_in_one_sampler_call_per_round(
+        monkeypatch, tmp_path, command, rounds, probes, capsys):
+    calls, jobs = count_sampler_calls_and_jobs(monkeypatch)
+    assert main([*command, "--fleet", str(DEMO_FLEET), "--shots", "200",
+                 "--rounds", str(rounds), "--out", str(tmp_path)]) in (0, 2)
+    capsys.readouterr()
+    assert len(calls) == probes * rounds
+    assert sum(calls) == sum(jobs)
+    # one submit per job: a scored identify row, or a sweep row's honest pair
+    trials = json.loads((tmp_path / f"{command[0]}.json").read_text())["trials"]
+    scored = [t for t in trials if t.get("distances") or t.get("pair") == "honest"]
+    assert len(jobs) == len(scored) == probes * len(load_fleet(DEMO_FLEET).device_ids())
 
 
 def test_unknown_device_exits_one(corner_fleet, capsys):

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fleetgen
 import qprobe.circuit
+import qprobe.devicesim
 import qprobe.estimator
 from qprobe import (
     AttackConfig,
@@ -23,7 +28,7 @@ from qprobe import (
     run_rounds,
 )
 from qprobe.circuit import TranspiledCircuit, build_bv, compose_probe, transpile
-from qprobe.device import DeviceProfile, ProfileError, dump_profile
+from qprobe.device import DeviceProfile, ProfileError, dump_profile, load_profile
 
 
 def corner_cloud() -> QuantumCloud:
@@ -42,6 +47,9 @@ def line_cloud() -> QuantumCloud:
 
 def probe():
     return transpile(build_bv("11"), fleetgen.t5(), [0, 1, 3])
+
+
+DEMO_FLEET = Path(__file__).resolve().parents[1] / "fleets" / "demo" / "fleet.json"
 
 
 def test_catalog_entry_consistency():
@@ -149,6 +157,154 @@ def test_substitution_onto_an_incompatible_machine_fails_loudly():
     cloud.set_attack(AttackConfig.substitution("alpine", "tiny"))
     with pytest.raises(TopologyError, match="tiny"):
         cloud.submit("alpine", probe(), shots=10, rounds=1, seed=0)
+
+
+# --- batches: jobs sampled together when the scope closes ----------------------
+
+
+def grit_cloud() -> QuantumCloud:
+    grit = fleetgen.grit_profile()
+    cloud = QuantumCloud()
+    cloud.register(CatalogEntry(grit.device_id, grit, NoiseSpec(grit, hidden_rate=0.02)))
+    return cloud
+
+
+FLEETS = {"demo": lambda: load_fleet(DEMO_FLEET), "grit": grit_cloud, "corner": corner_cloud}
+# probes of three sizes on the 5-qubit T topology every one of those fleets shares
+T5_PROBES = [probe(), compose_probe([("111", (0, 1, 2, 3))], fleetgen.t5()),
+             compose_probe([("1", (3, 4))], fleetgen.t5())]
+# any 64-bit seed, negative ones, and ones whose later rounds wrap past 2**64 - 1
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(-2**63, -1),
+                  st.integers(2**64 - 3, 2**64 - 1))
+
+
+def same_words(batched, lone) -> bool:
+    return (batched.width == lone.width and np.array_equal(batched.words, lone.words)
+            and np.array_equal(batched.word_counts, lone.word_counts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_batched_counts_equal_lone_submits_word_for_word(data):
+    cloud = FLEETS[data.draw(st.sampled_from(sorted(FLEETS)), label="fleet")]()
+    ids = cloud.device_ids()
+    if data.draw(st.booleans(), label="substitution"):
+        cloud.set_attack(AttackConfig.substitution(data.draw(st.sampled_from(ids)),
+                                                   data.draw(st.sampled_from(ids))))
+    # a few (probe, shots, rounds) settings, so that jobs share sampler calls
+    alike = data.draw(st.lists(st.tuples(st.sampled_from(T5_PROBES), st.integers(1, 600),
+                                         st.integers(1, 3)), min_size=1, max_size=3))
+    jobs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(alike), SEEDS),
+                              min_size=1, max_size=30), label="jobs")
+    with cloud.batch():
+        batched = [cloud.submit(device_id, circuit, shots, rounds, seed)
+                   for device_id, (circuit, shots, rounds), seed in jobs]
+    for (device_id, (circuit, shots, rounds), seed), job in zip(jobs, batched):
+        lone = cloud.submit(device_id, circuit, shots, rounds, seed)
+        assert (job.requested, job.executed_on) == (lone.requested, lone.executed_on)
+        assert same_words(job.counts, lone.counts)
+
+
+def test_batched_counts_do_not_depend_on_how_the_jobs_are_grouped(monkeypatch):
+    """Alike jobs share sampler calls in groups of at most ``_MAX_POOLED_SHOTS``
+    pooled words, one call per round each; no grouping changes a count."""
+    cloud, circuit = corner_cloud(), probe()
+    lone = [cloud.submit(device_id, circuit, 300, 2, seed).counts
+            for seed, device_id in enumerate(cloud.device_ids() * 2)]
+    calls = []
+    sampler = qprobe.devicesim.get_sampler()
+    monkeypatch.setattr(qprobe.devicesim, "get_sampler",
+                        lambda: lambda *args: calls.append(len(args[0])) or sampler(*args))
+    for bound, blocks in ((600, [1] * 8), (1200, [2] * 4), (2000, [3, 3, 2]), (2**24, [8])):
+        monkeypatch.setattr(qprobe.devicesim, "_MAX_POOLED_SHOTS", bound)
+        calls.clear()
+        with cloud.batch():
+            jobs = [cloud.submit(device_id, circuit, 300, 2, seed)
+                    for seed, device_id in enumerate(cloud.device_ids() * 2)]
+        assert calls == [b for b in blocks for _ in range(2)]
+        assert all(same_words(job.counts, want) for job, want in zip(jobs, lone))
+
+
+def tiny_profile() -> DeviceProfile:
+    return DeviceProfile(device_id="tiny", topology=Topology(2, [(0, 1)]),
+                         cnot_error={(0, 1): 0.01}, single_qubit_error={0: 0.0, 1: 0.0},
+                         measurement_error={0: 0.01, 1: 0.01}, calibration_time=fleetgen.CAL_TIME)
+
+
+@pytest.mark.parametrize("device_id, shots, rounds, seed, error, message", [
+    ("alpine", 0, 1, 0, ValueError, "shots must be positive"),
+    ("alpine", 10, 0, 0, ValueError, "rounds must be positive"),
+    ("alpine", 0, 0, 0, ValueError, "rounds must be positive"),
+    ("alpine", 2**24 + 1, 1, 2**64, ValueError,
+     "shots 16777217 x rounds 1 exceeds the 16777216 shots one job may pool"),
+    ("alpine", 2**12, 2**12 + 1, 0, ValueError,
+     "shots 4096 x rounds 4097 exceeds the 16777216 shots one job may pool"),
+    ("alpine", 10, 1, 2**64, ValueError,
+     "seed 18446744073709551616 outside the 64-bit range [-2**63, 2**64)"),
+    ("tiny", 10, 1, -2**63 - 1, ValueError,
+     "seed -9223372036854775809 outside the 64-bit range [-2**63, 2**64)"),
+    ("tiny", 10, 1, 0, TopologyError, "circuit does not fit the topology of 'tiny'"),
+    ("saturated", 10, 1, 0, ValueError, "effective flip probability 1.0028 at op 4 not < 1"),
+])
+def test_a_batched_submit_raises_at_once_what_a_lone_one_raises(device_id, shots, rounds,
+                                                               seed, error, message):
+    alpine = fleetgen.corner_profiles()[0]
+    saturated = load_profile(json.dumps({**json.loads(dump_profile(alpine)),
+                                         "device_id": "saturated"}))
+    cloud = QuantumCloud()
+    cloud.register(CatalogEntry("alpine", alpine, NoiseSpec(alpine)))
+    cloud.register(CatalogEntry("tiny", tiny_profile(), NoiseSpec(tiny_profile())))
+    cloud.register(CatalogEntry("saturated", saturated, NoiseSpec(saturated, hidden_rate=0.999)))
+    with pytest.raises(error) as lone:
+        cloud.submit(device_id, probe(), shots, rounds, seed)
+    assert str(lone.value) == message
+    with cloud.batch():
+        with pytest.raises(error) as batched:
+            cloud.submit(device_id, probe(), shots, rounds, seed)
+        # the batch goes on: identify skips a device that does not fit
+        job = cloud.submit("alpine", probe(), 100, 2, 5)
+    assert str(batched.value) == message
+    assert same_words(job.counts, cloud.submit("alpine", probe(), 100, 2, 5).counts)
+
+
+def test_a_batched_result_is_read_only_after_its_batch_closes():
+    cloud = corner_cloud()
+    with cloud.batch():
+        job = cloud.submit("alpine", probe(), 100, 1, 0)
+        with pytest.raises(RuntimeError, match="sampled when its batch closes"):
+            job.counts
+    assert job.counts.shots == 100
+
+
+def test_an_exception_leaving_a_batch_samples_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qprobe.devicesim, "get_sampler", lambda: calls.append)
+    cloud = corner_cloud()
+    with pytest.raises(KeyError, match="no device"):
+        with cloud.batch():
+            job = cloud.submit("alpine", probe(), 100, 1, 0)
+            cloud.submit("nowhere", probe(), 100, 1, 0)
+    assert calls == []
+    with pytest.raises(RuntimeError, match="this one was not sampled"):
+        job.counts
+    monkeypatch.undo()
+    # the cloud is out of the batch: a lone submit samples at once
+    assert cloud.submit("alpine", probe(), 100, 1, 0).counts.shots == 100
+
+
+def test_batches_do_not_nest():
+    cloud = corner_cloud()
+    with pytest.raises(RuntimeError, match="batches do not nest"):
+        with cloud.batch():
+            job = cloud.submit("alpine", probe(), 100, 1, 0)
+            with cloud.batch():
+                pass
+    with pytest.raises(RuntimeError, match="not sampled"):
+        job.counts
+    # a refused nesting leaves no batch open behind it
+    with cloud.batch():
+        job = cloud.submit("alpine", probe(), 100, 1, 0)
+    assert job.counts.shots == 100
 
 
 def count_build_walk_and_fit_calls(monkeypatch) -> Counter:

@@ -248,13 +248,14 @@ def test_kernels_return_no_words_for_no_shots(kernel, events):
 
 
 def test_c_kernel_rejects_a_mismatched_out_buffer_and_bad_bits(flipcore_c):
+    ideals = np.zeros(1, dtype=np.uint64)
     keys = thresholds = np.zeros(2, dtype=np.uint64)
     bits = np.zeros(2, dtype=np.int64)
     with pytest.raises(ValueError):
-        flipcore_c.sample_packed(0, keys, thresholds, bits, 5, np.empty(4, dtype=np.uint64))
+        flipcore_c.sample_packed(ideals, keys, thresholds, bits, 5, np.empty(4, dtype=np.uint64))
     for bit in (-1, 64):
         with pytest.raises(ValueError):
-            flipcore_c.sample_packed(0, keys, thresholds, np.array([0, bit]), 5,
+            flipcore_c.sample_packed(ideals, keys, thresholds, np.array([0, bit]), 5,
                                      np.empty(5, dtype=np.uint64))
 
 
@@ -391,6 +392,78 @@ def test_kernels_are_exact_at_the_screening_boundary(kernel, shots):
     out = kernel(0, keys, flip_thresholds(probs), bits, shots)
     assert [bool(int(out[shot]) >> bit & 1) for bit in bits.tolist()] == flipped
     assert np.array_equal(out, per_event_sampler(0, keys, probs, bits, shots))
+
+
+def random_blocks(blocks: int, events: int, seed: int):
+    """One ideal word per block, and a key and probability per block and
+    event, flat and block after block, over one set of target bits."""
+    rng = np.random.default_rng([blocks, events, seed])
+    ideals = rng.integers(0, 2**64, blocks, dtype=np.uint64)
+    keys = rng.integers(0, 2**64, blocks * events, dtype=np.uint64)
+    probs = np.where(rng.random(blocks * events) < 0.3,
+                     rng.choice(EDGE_PROBS, blocks * events), rng.random(blocks * events) * 0.2)
+    bits = rng.choice(ALL_BITS, events).astype(np.int64)
+    return ideals, keys, probs, bits
+
+
+@pytest.mark.parametrize("blocks, events, shots", [
+    (1, 17, 500), (2, 1, 1), (3, 9, 37), (24, 17, 500), (5, 200, 100), (4, 6, _TILE // 2 + 1)])
+def test_kernels_sample_blocks_as_one_block_calls(kernel, blocks, events, shots):
+    ideals, keys, probs, bits = random_blocks(blocks, events, shots)
+    out = kernel(ideals, keys, flip_thresholds(probs), bits, shots)
+    assert out.dtype == np.uint64 and out.shape == (blocks, shots)
+    for b, row in enumerate(out):
+        block = slice(b * events, (b + 1) * events)
+        one = kernel(int(ideals[b]), keys[block], flip_thresholds(probs[block]), bits, shots)
+        assert np.array_equal(row, one)
+        assert np.array_equal(row, per_event_sampler(int(ideals[b]), keys[block],
+                                                     probs[block], bits, shots))
+
+
+@pytest.mark.parametrize("shots", [1, _TILE // 3 + 2])
+def test_kernels_are_exact_at_the_screening_boundary_in_blocks(kernel, shots):
+    """Three blocks over the boundary events: as given, reversed, and as
+    given again under other ideal words, so a tile mixes blocks."""
+    shot = shots - 1
+    events = screening_boundary_events()
+    keys = np.array([key_reaching(z, shot) for z, _ in events], dtype=np.uint64)
+    probs = np.array([m * 2.0 ** -53 for _, m in events])
+    bits = np.arange(len(events), dtype=np.int64)
+    block_keys = np.concatenate([keys, keys[::-1], keys])
+    block_probs = np.concatenate([probs, probs[::-1], probs])
+    ideals = np.array([0, 2**64 - 1, 12345], dtype=np.uint64)
+    out = kernel(ideals, block_keys, flip_thresholds(block_probs), bits, shots)
+    for b, row in enumerate(out):
+        block = slice(b * len(events), (b + 1) * len(events))
+        assert np.array_equal(row, per_event_sampler(int(ideals[b]), block_keys[block],
+                                                     block_probs[block], bits, shots))
+    flipped = [(z ^ z >> 31) < m << 11 for z, m in events]
+    assert [bool(int(out[0, shot]) >> bit & 1) for bit in bits.tolist()] == flipped
+
+
+@pytest.mark.parametrize("blocks, keys, thresholds, bits", [
+    (2, 6, 6, 2), (2, 6, 4, 3), (3, 6, 6, 3), (0, 1, 1, 1), (1, 0, 0, 1), (2, 4, 4, 1)])
+def test_kernels_reject_keys_thresholds_blocks_and_bits_that_disagree(kernel, blocks, keys,
+                                                                       thresholds, bits):
+    with pytest.raises(ValueError):
+        kernel(np.zeros(blocks, dtype=np.uint64), np.zeros(keys, dtype=np.uint64),
+               np.zeros(thresholds, dtype=np.uint64), np.zeros(bits, dtype=np.int64), 5)
+
+
+def test_kernels_take_one_ideal_word_or_one_per_block(kernel):
+    with pytest.raises(ValueError, match="one word per block"):
+        kernel(np.zeros((1, 1), dtype=np.uint64), np.zeros(2, dtype=np.uint64),
+               np.zeros(2, dtype=np.uint64), np.zeros(2, dtype=np.int64), 5)
+
+
+@pytest.mark.parametrize("blocks, events, shots", [(0, 3, 5), (2, 0, 5), (2, 3, 0), (0, 0, 0)])
+def test_kernels_return_a_word_per_block_and_shot_for_empty_blocks_events_or_shots(
+        kernel, blocks, events, shots):
+    ideals = np.arange(1, blocks + 1, dtype=np.uint64)
+    keys = thresholds = np.full(blocks * events, 2**63, dtype=np.uint64)
+    out = kernel(ideals, keys, thresholds, np.zeros(events, dtype=np.int64), shots)
+    assert out.dtype == np.uint64 and out.shape == (blocks, shots)
+    assert np.array_equal(out, np.repeat(ideals[:, None], shots, axis=1))
 
 
 def test_the_per_shot_half_is_kept_read_only_per_shot_count():
