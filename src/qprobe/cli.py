@@ -6,28 +6,35 @@ JSON or CSV and contain no timestamps or environment state, so two runs
 with identical flags produce byte-identical output.
 
 ``identify`` and ``sweep`` sample and score array-wide.  Per probe they
-price every fitting device once into a (candidates × qubits) estimate
-array, submit every job (one ``QuantumCloud.submit`` each) inside one
-``QuantumCloud.batch``, so that all the probe's jobs are sampled in one
-kernel call per round, read all the jobs' outcomes into one
+open one ``QuantumCloud.batch``, price every fitting device once into a
+(candidates × qubits) estimate array (``QuantumCloud.price``, whose row
+each device's job then reuses), submit every job (one
+``QuantumCloud.submit`` each), so that all the probe's jobs are sampled in
+one kernel call per round, read all the jobs' outcomes into one
 (jobs × qubits) survival array, and compare the two as a (jobs ×
 candidates) distance array.  Every float equals what the per-fingerprint
 functions (``estimate_fingerprint``, ``survival_from_counts``,
-``manhattan_avg``), the one-row cases, give for that pair.
+``manhattan_avg``), the one-row cases, give for that pair.  The sweep
+summary is read from the distance arrays.
 
-Reports are written by ``ExperimentReport``.  JSON is the output of
+Reports are written by ``ExperimentReport``, whose rows every command
+builds as columns: a ``Table`` of equal-length lists keyed by field, so the
+rows share one key set by construction, and no row dict is built unless
+``trials`` is read.  JSON is the output of
 ``json.dumps(doc, indent=2, sort_keys=True)`` to the byte, but only
 ``kind``, ``params`` and ``summary`` go through that call: with an indent,
 ``json`` falls back to its pure-Python encoder, which dominated the cost
 of a scan.  The ``trials`` rows, the bulk of ``identify`` and ``sweep``
-reports, are written column by column: a column of only strings, only
-ints or only finite floats goes through the encoder ``json`` itself uses
-for that type, a column of only bools is written as ``true``/``false``, a
-column of dicts sharing one key set (identify's ``distances``) is written
-the same way one level down, and any other column value by value with
-``json.dumps``.  A row's text is then its keys' fixed prefixes
-interleaved with its cells.  CSV goes through ``csv.writer`` with minimal
-quoting, so a probe label such as ``bv:11@0,1,3`` stays one cell.
+reports, are written column by column, each column typed once: in a
+column of only strings, only ints or only bools each distinct cell is
+encoded once, with the encoder ``json`` itself uses for that type; a
+column of only finite floats goes through ``float.__repr__``; a nested
+table (identify's ``distances``) is written the same way one level down,
+with ``null`` for its null cells; and any other column value by value
+with ``json.dumps``.  The keys' fixed text and the cells fill one flat
+list of pieces, a column at a time, which is joined once.  CSV goes
+through ``csv.writer`` with minimal quoting, so a probe label such as
+``bv:11@0,1,3`` stays one cell.
 
 Exit codes: 0 for honest / fully identified, 2 when fraud (or an identity
 mismatch) is detected, 1 for configuration and I/O errors.
@@ -42,10 +49,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -56,11 +60,12 @@ from .cloud import AttackConfig, QuantumCloud, load_fleet
 from .detector import DEFAULT_THRESHOLD, check_threshold, detect, distance_array, match_devices
 from .device import TopologyError, _index, load_profile
 from .devicesim import survival_array, survival_from_counts
-from .estimator import estimate_array, estimate_fingerprint, key_rates, trace_survival
+from .estimator import estimate_array, estimate_fingerprint, trace_survival
 
 __all__ = [
     "ProbeSpec",
     "ExperimentReport",
+    "Table",
     "parse_probe_args",
     "parse_strategy",
     "run_identify",
@@ -189,96 +194,161 @@ def parse_strategy(text: str) -> dict:
     raise CommandError(f"strategy {text!r} must start with scale: or set:")
 
 
+@dataclass(frozen=True)
+class Table:
+    """Report rows held as columns.
+
+    ``columns`` maps each string key to a list of ``rows`` cells, or to a
+    nested Table whose rows are that column's dict cells.  A nested table's
+    ``nulls`` are the positions of the column's null cells; its own rows
+    fill the other positions, in order.  Every row of a table has the same
+    keys by construction.
+    """
+
+    rows: int
+    columns: dict
+    nulls: frozenset[int] = frozenset()
+
+    def __post_init__(self) -> None:
+        if any(not 0 <= i < self.rows + len(self.nulls) for i in self.nulls):
+            raise ValueError("null position outside the column")
+        for key, column in self.columns.items():
+            if type(key) is not str:
+                raise ValueError(f"report key {key!r} is not a string")
+            cells = column.rows + len(column.nulls) if isinstance(column, Table) else len(column)
+            if cells != self.rows:
+                raise ValueError(f"column {key!r} has {cells} cells for {self.rows} rows")
+
+    @classmethod
+    def from_rows(cls, rows: list[dict]) -> Table:
+        """The table of row dicts that share one key set; a dict cell stays a cell."""
+        keys = rows[0].keys() if rows else {}
+        if any(row.keys() != keys for row in rows):
+            raise ValueError("report rows must share one key set")
+        return cls(len(rows), {key: [row[key] for row in rows] for key in keys})
+
+    def dicts(self) -> list:
+        """The rows as dicts, with None at the null positions."""
+        keys = list(self.columns)
+        cells = [_cells(column) for column in self.columns.values()]
+        rows = ([dict(zip(keys, row)) for row in zip(*cells)] if keys
+                else [{} for _ in range(self.rows)])
+        return _with_nulls(rows, self.nulls, None)
+
+
+def _cells(column) -> list:
+    """A column's cells as Python values."""
+    return column.dicts() if isinstance(column, Table) else column
+
+
+def _with_nulls(cells: list, nulls: frozenset[int], null) -> list:
+    """``cells`` with ``null`` inserted at the positions ``nulls``."""
+    if not nulls:
+        return cells
+    rest = iter(cells)
+    return [null if i in nulls else next(rest) for i in range(len(cells) + len(nulls))]
+
+
 @dataclass
 class ExperimentReport:
-    """One command's report.
-
-    Every row of ``trials`` has the same set of string keys (each ``run_*``
-    function builds its rows from one literal), which lets ``to_json``
-    write the rows column by column; rows with different key sets raise
-    ValueError.
-    """
+    """One command's report; its ``trials`` rows are held as a ``Table``."""
 
     kind: str
     params: dict
-    trials: list[dict]
+    table: Table
     summary: dict
+
+    def __post_init__(self) -> None:
+        if self.table.nulls:
+            raise ValueError("report rows cannot be null")
+
+    @property
+    def trials(self) -> list[dict]:
+        """The rows as dicts, built on each access."""
+        return self.table.dicts()
 
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
         head = json.dumps({"kind": self.kind, "params": self.params, "summary": self.summary},
                           indent=2, sort_keys=True)
         # "trials" sorts after "summary", so it closes the document
-        return f'{head[:-2]},\n  "trials": {_json_rows(self.trials)}\n}}\n'
+        return f'{head[:-2]},\n  "trials": {_json_list(self.table, 2)}\n}}\n'
 
     def to_csv(self) -> str:
+        table = self.table
         if self.kind == "identify":
             candidates = self.params["candidates"]
             rows = [["device", *candidates]]
-            for trial in self.trials:
-                distances = trial.get("distances") or {}
-                rows.append([trial["device"], *(_csv_cell(distances.get(c)) for c in candidates)])
-        elif not self.trials:
+            for device, distances in zip(table.columns["device"],
+                                         _cells(table.columns["distances"])):
+                distances = distances or {}
+                rows.append([device, *(_csv_cell(distances.get(c)) for c in candidates)])
+        elif not table.rows:
             return "\n"
         else:
-            columns = sorted(self.trials[0])
-            rows = [columns, *([_csv_cell(trial.get(c)) for c in columns]
-                               for trial in self.trials)]
+            keys = sorted(table.columns)
+            cells = [list(map(_csv_cell, _cells(table.columns[key]))) for key in keys]
+            rows = [keys, *(zip(*cells) if keys else [()] * table.rows)]
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows(rows)
         return out.getvalue()
 
 
-def _json_rows(trials: list[dict]) -> str:
-    """The ``trials`` list as the indented encoder writes it at depth 1."""
-    if not trials:
-        return "[]"
-    if not _one_key_set(trials):
-        raise ValueError("report rows must share one key set")
-    return "[\n    " + ",\n    ".join(_json_dicts(trials, 4)) + "\n  ]"
-
-
-def _one_key_set(dicts: list[dict]) -> bool:
-    return all(map(dicts[0].keys().__eq__, map(dict.keys, dicts)))
-
-
-def _json_dicts(dicts: list[dict], indent: int) -> list[str]:
-    """Dicts with one set of string keys, each as the indented encoder
-    writes it when its opening brace sits ``indent`` spaces in."""
-    keys = sorted(dicts[0])
-    if not keys:
-        return ["{}"] * len(dicts)
+def _json_pieces(table: Table, indent: int) -> tuple[list[str], int]:
+    """The rows as the indented encoder writes dicts whose opening braces
+    sit ``indent`` spaces in, as one flat list of pieces, and the number of
+    pieces a row takes: each key's fixed text then its cell, and last the
+    closing brace.  A key's text and its cells are filled in as whole
+    columns, by slice."""
+    keys = sorted(table.columns)
+    n, stride = table.rows, 2 * len(keys) + 1
+    pieces = [""] * (n * stride)
     pad = "\n" + " " * (indent + 2)
-    # a dict's text is its keys' fixed prefixes interleaved with its column cells
-    parts = []
     for i, key in enumerate(keys):
-        prefix = ("," if i else "{") + pad + encode_basestring_ascii(key) + ": "
-        parts += [repeat(prefix, len(dicts)),
-                  _json_column(list(map(itemgetter(key), dicts)), indent + 2)]
-    parts.append(repeat("\n" + " " * indent + "}", len(dicts)))
-    return list(map("".join, zip(*parts)))
+        head = ("," if i else "{") + pad + encode_basestring_ascii(key) + ": "
+        pieces[2 * i::stride] = [head] * n
+        pieces[2 * i + 1::stride] = _json_cells(table.columns[key], indent + 2)
+    pieces[stride - 1::stride] = ["\n" + " " * indent + "}" if keys else "{}"] * n
+    return pieces, stride
 
 
-_JSON_BOOL = {False: "false", True: "true"}
+def _json_rows(table: Table, indent: int) -> list[str]:
+    """Each row's text, as ``_json_pieces`` writes it."""
+    pieces, stride = _json_pieces(table, indent)
+    return ["".join(pieces[at:at + stride]) for at in range(0, len(pieces), stride)]
 
 
-def _json_column(values: list, indent: int):
-    """Each value as the indented encoder writes it ``indent`` spaces in."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return map(encode_basestring_ascii, values)
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    if kinds == {bool}:
-        return map(_JSON_BOOL.__getitem__, values)
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    if (kinds == {dict} and _one_key_set(values)
-            and all(type(k) is str for k in values[0])):
-        return _json_dicts(values, indent)
+def _json_list(table: Table, indent: int) -> str:
+    """The rows as the indented encoder writes a list of them whose opening
+    bracket sits ``indent`` spaces in, joined in one pass."""
+    if not table.rows:
+        return "[]"
+    pieces, stride = _json_pieces(table, indent + 2)
+    between = ",\n" + " " * (indent + 2)
+    pieces[stride - 1:-1:stride] = [piece + between for piece in pieces[stride - 1:-1:stride]]
+    return "[" + between[1:] + "".join(pieces) + "\n" + " " * indent + "]"
+
+
+# the encoders of a column of one type; each distinct cell is encoded once
+_JSON_SCALAR = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: {False: "false", True: "true"}.__getitem__}
+
+
+def _json_cells(column, indent: int) -> list[str]:
+    """Each cell as the indented encoder writes it ``indent`` spaces in."""
+    if isinstance(column, Table):
+        return _with_nulls(_json_rows(column, indent), column.nulls, "null")
+    kinds = set(map(type, column))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _JSON_SCALAR:
+        distinct = dict.fromkeys(column)
+        text = dict(zip(distinct, map(_JSON_SCALAR[kind], distinct)))
+        return list(map(text.__getitem__, column))
+    if kind is float and all(map(math.isfinite, column)):
+        return list(map(float.__repr__, column))
     # ASCII JSON has no raw newline inside a string, so this only re-indents
     pad = "\n" + " " * indent
-    return [json.dumps(v, indent=2, sort_keys=True).replace("\n", pad) for v in values]
+    return [json.dumps(v, indent=2, sort_keys=True).replace("\n", pad) for v in column]
 
 
 def _csv_cell(value) -> str:
@@ -309,11 +379,12 @@ def _emit(report: ExperimentReport, args: argparse.Namespace, summary: str) -> N
 def _fleet_estimates(cloud: QuantumCloud,
                      circuit: TranspiledCircuit) -> tuple[list[str], np.ndarray]:
     """Ids of the catalog devices the circuit fits, in id order, and their
-    (devices × measured qubits) estimate array; each device is priced once."""
+    (devices × measured qubits) estimate array.  Each device is priced by
+    ``cloud.price``, so inside a batch its jobs reuse the row."""
     fitting, rates = [], []
     for device_id in cloud.device_ids():
         try:
-            rates.append(key_rates(circuit, cloud.get_profile(device_id)))
+            rates.append(cloud.price(circuit, cloud.get_profile(device_id)))
         except TopologyError:
             continue
         fitting.append(device_id)
@@ -328,11 +399,11 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
     one survival row per job against the candidates' estimate array.
     """
     circuit, reference = probe.build(cloud)
-    candidates, expected = _fleet_estimates(cloud, circuit)
     device_ids = cloud.device_ids()
     seeds = [offset_seed(seed, i * rounds) for i in range(len(device_ids))]
     jobs = {}
     with cloud.batch():
+        candidates, expected = _fleet_estimates(cloud, circuit)
         for device_id, row_seed in zip(device_ids, seeds):
             try:
                 jobs[device_id] = cloud.submit(device_id, circuit, shots, rounds, row_seed)
@@ -345,28 +416,28 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
         margins = (ranked[:, 1] - ranked[:, 0]).tolist()
     else:
         margins = [None] * len(jobs)
-    scored = dict(zip(jobs, zip(best, margins, distances.tolist())))
 
-    trials = []
-    for device_id, row_seed in zip(device_ids, seeds):
-        matched, margin, row = scored.get(device_id, (None, None, None))
-        trials.append({"device": device_id, "seed": row_seed, "matched": matched,
-                       "correct": matched == device_id, "margin": margin,
-                       "distances": None if row is None else dict(zip(candidates, row))})
-    rows = len(trials)
-    correct = sum(trial["correct"] for trial in trials)
-    ambiguous = [device_id for device_id, (_, margin, _) in scored.items()
+    # a device whose job did not run has null cells
+    nulls = frozenset(i for i, device_id in enumerate(device_ids) if device_id not in jobs)
+    matched = _with_nulls(best, nulls, None)
+    correct = [best_id == device_id for best_id, device_id in zip(matched, device_ids)]
+    table = Table(len(device_ids), {
+        "device": device_ids, "seed": seeds, "matched": matched, "correct": correct,
+        "margin": _with_nulls(margins, nulls, None),
+        "distances": Table(len(jobs), dict(zip(candidates, distances.T.tolist())), nulls)})
+    rows, n_correct = len(device_ids), sum(correct)
+    ambiguous = [device_id for device_id, margin in zip(jobs, margins)
                  if margin is not None and margin < AMBIGUITY_MARGIN]
     report = ExperimentReport(
         kind="identify",
         params={"probe": probe.label, "shots": shots, "rounds": rounds, "seed": seed,
                 "reference_device": reference, "candidates": candidates},
-        trials=trials,
-        summary={"rows": rows, "correct": correct,
-                 "accuracy": correct / rows if rows else None,
+        table=table,
+        summary={"rows": rows, "correct": n_correct,
+                 "accuracy": n_correct / rows if rows else None,
                  "ambiguous": ambiguous},
     )
-    return report, 0 if correct == rows else 2
+    return report, 0 if n_correct == rows else 2
 
 
 def run_detect_substitution(cloud: QuantumCloud, victim: str, actual: str,
@@ -381,29 +452,26 @@ def run_detect_substitution(cloud: QuantumCloud, victim: str, actual: str,
         expected = estimate_fingerprint(circuit, cloud.get_profile(victim))
     except TopologyError:
         raise CommandError(f"probe does not fit victim device {victim!r}") from None
-    trial: dict = {"probe": probe.label, "victim": victim, "actual": actual,
-                   "seed": seed, "threshold": threshold}
     try:
         job = cloud.submit(victim, circuit, shots, rounds, seed)
     except TopologyError:
         # The platform could not even run the probe on the stand-in machine;
         # that is caught immediately.
-        trial.update({"topology_error": True, "distance": None,
-                      "classification": "fraudulent"})
-        code = 2
+        topology_error, distance, classification, code = True, None, "fraudulent", 2
     else:
         observed = survival_from_counts(job.counts, circuit.ideal_output)
         verdict = detect(expected, observed, threshold)
-        trial.update({"topology_error": False, "distance": verdict.distance,
-                      "classification": verdict.classification})
+        topology_error, distance, classification = False, verdict.distance, verdict.classification
         code = 2 if verdict.is_fraud else 0
     report = ExperimentReport(
         kind="detect-sub",
         params={"probe": probe.label, "victim": victim, "actual": actual,
                 "shots": shots, "rounds": rounds, "seed": seed, "threshold": threshold},
-        trials=[trial],
-        summary={"classification": trial["classification"],
-                 "distance": trial["distance"]},
+        table=Table(1, {"probe": [probe.label], "victim": [victim], "actual": [actual],
+                        "seed": [seed], "threshold": [threshold],
+                        "topology_error": [topology_error], "distance": [distance],
+                        "classification": [classification]}),
+        summary={"classification": classification, "distance": distance},
     )
     return report, code
 
@@ -414,8 +482,7 @@ def run_detect_fabrication(cloud: QuantumCloud, device_id: str, strategy: dict,
     """Advertise a doctored profile and probe the device against it."""
     cloud.set_attack(AttackConfig.fabrication(device_id, scale=strategy.get("scale"),
                                               overrides=strategy.get("overrides")))
-    trials = []
-    n_fraud = 0
+    seeds, verdicts = [], []
     for i, probe in enumerate(probes):
         circuit, _ = probe.build(cloud)
         try:
@@ -423,23 +490,34 @@ def run_detect_fabrication(cloud: QuantumCloud, device_id: str, strategy: dict,
         except TopologyError:
             raise CommandError(
                 f"probe {probe.label!r} does not fit device {device_id!r}") from None
-        combo_seed = offset_seed(seed, i * rounds)
-        job = cloud.submit(device_id, circuit, shots, rounds, combo_seed)
+        seeds.append(offset_seed(seed, i * rounds))
+        job = cloud.submit(device_id, circuit, shots, rounds, seeds[-1])
         observed = survival_from_counts(job.counts, circuit.ideal_output)
-        verdict = detect(expected, observed, threshold)
-        n_fraud += verdict.is_fraud
-        trials.append({"probe": probe.label, "device": device_id, "seed": combo_seed,
-                       "distance": verdict.distance, "threshold": threshold,
-                       "classification": verdict.classification})
+        verdicts.append(detect(expected, observed, threshold))
+    labels = [p.label for p in probes]
+    n, n_fraud = len(probes), sum(verdict.is_fraud for verdict in verdicts)
     report = ExperimentReport(
         kind="detect-fab",
         params={"device": device_id, "strategy": strategy, "shots": shots,
-                "rounds": rounds, "seed": seed, "threshold": threshold,
-                "probes": [p.label for p in probes]},
-        trials=trials,
-        summary={"trials": len(trials), "fraudulent": n_fraud},
+                "rounds": rounds, "seed": seed, "threshold": threshold, "probes": labels},
+        table=Table(n, {"probe": labels, "device": [device_id] * n, "seed": seeds,
+                        "distance": [verdict.distance for verdict in verdicts],
+                        "threshold": [threshold] * n,
+                        "classification": [verdict.classification for verdict in verdicts]}),
+        summary={"trials": n, "fraudulent": n_fraud},
     )
     return report, 2 if n_fraud else 0
+
+
+def _stats(values: np.ndarray) -> dict | None:
+    """Count, mean, min and max of a sweep's distances, None when there are none."""
+    if not values.size:
+        return None
+    # a left-to-right fold, as reduce(add, values, 0.0) gives it for distances
+    # (never -0.0): sum() of floats is compensated from Python 3.12
+    total = np.add.accumulate(values)[-1].item()
+    return {"n": values.size, "mean": total / values.size,
+            "min": values.min().item(), "max": values.max().item()}
 
 
 def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int,
@@ -450,47 +528,49 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
     the cross-pair minimum, plus the separating gap they leave around a
     usable decision threshold.
     """
-    trials = []
-    pooled: dict[str, list[float]] = {"honest": [], "cross": []}
-    sized: dict[int, dict[str, list[float]]] = {}
+    columns: dict[str, list] = {key: [] for key in (
+        "probe", "size", "device", "candidate", "seed", "pair", "distance")}
+    # per probe: its size, and its honest and cross distances
+    sizes: list[int] = []
+    parts: dict[str, list[np.ndarray]] = {"honest": [], "cross": []}
     job_index = 0
     for probe in probes:
         label, size = probe.label, probe.size
         circuit, _ = probe.build(cloud)
-        fitting, expected = _fleet_estimates(cloud, circuit)
-        seeds = [offset_seed(seed, (job_index + k) * rounds) for k in range(len(fitting))]
-        job_index += len(fitting)
         with cloud.batch():
+            fitting, expected = _fleet_estimates(cloud, circuit)
+            seeds = [offset_seed(seed, (job_index + k) * rounds) for k in range(len(fitting))]
             jobs = [cloud.submit(device_id, circuit, shots, rounds, job_seed)
                     for device_id, job_seed in zip(fitting, seeds)]
+        job_index += len(fitting)
         observed = survival_array([job.counts for job in jobs], circuit.ideal_output)
         distances = distance_array(expected, observed)
-        trials += [{"probe": label, "size": size, "device": device_id,
-                    "candidate": candidate, "seed": job_seed,
-                    "pair": "honest" if candidate == device_id else "cross",
-                    "distance": distance}
-                   for device_id, job_seed, row in zip(fitting, seeds, distances.tolist())
-                   for candidate, distance in zip(fitting, row)]
-        # the honest pairs are the diagonal; both keep the rows' job-major order
-        honest = np.eye(len(fitting), dtype=bool)
-        by_pair = sized.setdefault(size, {"honest": [], "cross": []})
-        for pair, mask in (("honest", honest), ("cross", ~honest)):
-            values = distances[mask].tolist()
-            pooled[pair] += values
-            by_pair[pair] += values
+        # one row per (job, candidate) pair, job-major; the honest pairs are the diagonal
+        m = len(fitting)
+        pairs = ["cross"] * (m * m)
+        pairs[::m + 1] = ["honest"] * m
+        columns["probe"] += [label] * (m * m)
+        columns["size"] += [size] * (m * m)
+        columns["device"] += [device_id for device_id in fitting for _ in fitting]
+        columns["candidate"] += fitting * m
+        columns["seed"] += [job_seed for job_seed in seeds for _ in fitting]
+        columns["pair"] += pairs
+        columns["distance"] += distances.ravel().tolist()
+        honest = np.eye(m, dtype=bool)
+        sizes.append(size)
+        parts["honest"].append(distances[honest])
+        parts["cross"].append(distances[~honest])
 
-    def stats(values: list[float]) -> dict | None:
-        if not values:
-            return None
-        # a left-to-right fold: sum() of floats is compensated from Python 3.12
-        return {"n": len(values), "mean": reduce(add, values, 0.0) / len(values),
-                "min": min(values), "max": max(values)}
+    def pooled(pair: str, size: int | None = None) -> np.ndarray:
+        """A pair kind's distances in row order, of every probe or of one size."""
+        return np.concatenate([part for part_size, part in zip(sizes, parts[pair])
+                               if size in (None, part_size)])
 
-    honest, cross = pooled["honest"], pooled["cross"]
-    by_size = {str(size): {pair: stats(values) for pair, values in sized[size].items()}
-               for size in sorted(sized)}
-    summary: dict = {"honest": stats(honest), "cross": stats(cross), "by_size": by_size}
-    if honest and cross:
+    honest, cross = pooled("honest"), pooled("cross")
+    by_size = {str(size): {pair: _stats(pooled(pair, size)) for pair in parts}
+               for size in sorted(set(sizes))}
+    summary: dict = {"honest": _stats(honest), "cross": _stats(cross), "by_size": by_size}
+    if honest.size and cross.size:
         gap = [summary["honest"]["max"], summary["cross"]["min"]]
         summary["gap"] = gap
         summary["gap_valid"] = gap[0] < gap[1]
@@ -502,7 +582,7 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
         kind="sweep",
         params={"probes": [p.label for p in probes], "shots": shots,
                 "rounds": rounds, "seed": seed},
-        trials=trials,
+        table=Table(len(columns["probe"]), columns),
         summary=summary,
     )
     return report, 0

@@ -10,11 +10,13 @@ Three operating modes model a provider:
   still executing with its true noise.
 
 Jobs submitted inside ``QuantumCloud.batch`` are routed, checked and priced
-at ``submit``, but sampled together when the scope closes: jobs of one
-circuit, shot count and round count make one sampler call per round, one
-block per job (see ``devicesim.sample_jobs``).  A lone ``submit`` samples
-its job at once through ``run_rounds``, one sampler call per round.  The
-counts are the same either way.
+at ``submit``, but sampled together when the scope closes: jobs of equal
+circuits, shot count and round count make one sampler call per round, one
+block per job (see ``devicesim.sample_jobs``).  Inside a batch,
+``QuantumCloud.price`` prices each (circuit, profile) pair once, for the
+user's estimates and the platform's jobs alike.  A lone ``submit`` prices
+its job and samples it at once through ``run_rounds``, one sampler call per
+round.  The counts are the same either way.
 
 Users of the platform only ever see advertised profiles and counts.
 ``JobResult.executed_on`` and ``QuantumCloud.true_entry`` expose ground
@@ -29,9 +31,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .circuit import TranspiledCircuit
-from .device import DeviceProfile, ProfileError, _unique_keys, fabricate, load_profile
+from .device import (DeviceProfile, ProfileError, TopologyError, _unique_keys, fabricate,
+                     load_profile)
 from .devicesim import Counts, Job, NoiseSpec, prepare_job, run_rounds, sample_jobs
+from .estimator import key_rates
 
 __all__ = [
     "CatalogEntry",
@@ -127,6 +133,8 @@ class QuantumCloud:
         self._attack = AttackConfig.honest()
         self._forged: dict[str, DeviceProfile] = {}
         self._batch: list[Job] | None = None
+        # the batch's prices: (id(circuit), id(profile)) -> (circuit, profile, rates or error)
+        self._prices: dict[tuple[int, int], tuple] = {}
 
     @property
     def attack(self) -> AttackConfig:
@@ -175,16 +183,45 @@ class QuantumCloud:
         if self._batch is None:
             outcome = run_rounds(circuit, target.true_noise, shots, rounds, seed)
         else:
-            outcome = prepare_job(circuit, target.true_noise, shots, rounds, seed)
+            outcome = prepare_job(circuit, target.true_noise, shots, rounds, seed,
+                                  price=self.price)
             self._batch.append(outcome)
         return JobResult(outcome, requested=device_id, executed_on=target.device_id)
+
+    def price(self, circuit: TranspiledCircuit, profile: DeviceProfile) -> np.ndarray:
+        """``key_rates(circuit, profile)``, priced once per (circuit, profile)
+        pair of objects inside a batch.
+
+        A repeat in the same batch returns the first call's read-only row,
+        or raises its TopologyError again.  So a batched job whose device
+        advertises its true profile reuses the row its estimate priced,
+        while a forged or substituted profile, another object, is priced
+        on its own.  Outside a batch every call prices afresh.
+        """
+        if self._batch is None:
+            return key_rates(circuit, profile)
+        key = (id(circuit), id(profile))
+        if key not in self._prices:
+            try:
+                rates = key_rates(circuit, profile)
+                rates.flags.writeable = False
+            except TopologyError as exc:
+                rates = exc
+            # the pair is kept, so that its ids stay unique while the batch lasts
+            self._prices[key] = (circuit, profile, rates)
+        rates = self._prices[key][2]
+        if isinstance(rates, TopologyError):
+            raise TopologyError(*rates.args)
+        return rates
 
     @contextlib.contextmanager
     def batch(self) -> Iterator[None]:
         """Defer the sampling of every job submitted in the scope to its close.
 
         Each ``submit`` still routes, checks and prices its job at once, and
-        raises there.  At the close the jobs are sampled together (see
+        raises there.  Inside the scope ``price`` prices each (circuit,
+        profile) pair once, for estimates and jobs alike; its memo ends with
+        the scope.  At the close the jobs are sampled together (see
         ``devicesim.sample_jobs``); if an exception leaves the scope,
         nothing is sampled.  Batches do not nest.
         """
@@ -195,6 +232,7 @@ class QuantumCloud:
             yield
         finally:
             self._batch = None
+            self._prices = {}
         sample_jobs(jobs)
 
     def true_entry(self, device_id: str) -> CatalogEntry:

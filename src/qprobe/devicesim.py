@@ -13,7 +13,7 @@ circuit's one flip table and price it with ``estimator.key_rates``, and the
 parity oracle folds it with ``estimator.fold_flips``.
 
 A job is checked and priced by ``prepare_job`` and sampled by
-``sample_jobs``.  Jobs of one circuit, shot count and round count are
+``sample_jobs``.  Jobs of equal circuits, shot count and round count are
 sampled together: each job is one block of the sampler's block contract
 (see ``_flipcore``), so a round of all of them is one sampler call.  Rounds
 stay separate calls, each with its own seeds.  All the jobs' pooled words
@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -107,24 +107,27 @@ class Counts:
         width = widths.pop() if widths else 0
         if width > _MAX_MEASURED:
             raise ValueError(f"at most {_MAX_MEASURED} measured qubits supported")
+        word_counts = np.array(ns, dtype=np.int64)
         self._hold(np.array([int(k, 2) if k else 0 for k in counts], dtype=np.uint64),
-                   np.array(ns, dtype=np.int64), width)
+                   word_counts, width, int(word_counts.sum()))
         self.__dict__["counts"] = dict(zip(counts, ns))
 
     @classmethod
-    def _from_words(cls, words: np.ndarray, word_counts: np.ndarray, width: int) -> Counts:
-        """Counts of distinct packed ``words`` seen ``word_counts`` times each.
+    def _from_words(cls, words: np.ndarray, word_counts: np.ndarray, width: int,
+                    shots: int) -> Counts:
+        """Counts of distinct packed ``words`` seen ``word_counts`` times each,
+        ``shots`` (their sum) in all.
 
         The arrays are kept, not copied, and made read-only.
         """
         pooled = cls.__new__(cls)
-        pooled._hold(words, word_counts, width)
+        pooled._hold(words, word_counts, width, shots)
         return pooled
 
-    def _hold(self, words: np.ndarray, word_counts: np.ndarray, width: int) -> None:
+    def _hold(self, words: np.ndarray, word_counts: np.ndarray, width: int,
+              shots: int) -> None:
         words.flags.writeable = word_counts.flags.writeable = False
-        self.__dict__.update(words=words, word_counts=word_counts, width=width,
-                             shots=int(word_counts.sum()))
+        self.__dict__.update(words=words, word_counts=word_counts, width=width, shots=shots)
 
     @cached_property
     def counts(self) -> dict[str, int]:
@@ -148,16 +151,17 @@ class Counts:
         return {k: v / self.shots for k, v in self.counts.items()}
 
 
-def _flip_probs(circuit: TranspiledCircuit, noise: NoiseSpec) -> np.ndarray:
+def _flip_probs(circuit: TranspiledCircuit, noise: NoiseSpec,
+                price: Callable | None = None) -> np.ndarray:
     """True flip probability of each flip row: its key's price plus the hidden
-    rate.  The fit is checked first."""
-    rates = key_rates(circuit, noise.true_profile)
+    rate.  The fit is checked first, by ``price`` if given, which returns or
+    raises what ``key_rates`` does, else by ``key_rates``."""
+    rates = (price or key_rates)(circuit, noise.true_profile)
     if len(circuit.measured) > _MAX_MEASURED:
         raise ValueError(f"at most {_MAX_MEASURED} measured qubits supported")
     probs = (rates + noise.hidden_rate)[circuit.flip_slots]
-    bad = np.flatnonzero(probs >= 1.0)
-    if len(bad):
-        row = bad[0]
+    if probs.max(initial=0.0) >= 1.0:
+        row = np.flatnonzero(probs >= 1.0)[0]
         raise ValueError(f"effective flip probability {probs[row].item()} at op "
                          f"{circuit.flip_sites[row, 0]} not < 1")
     return probs
@@ -171,17 +175,18 @@ def execute(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int, seed: int)
 class Job:
     """A checked and priced job whose rounds are sampled later by ``sample_jobs``.
 
-    ``seeds`` holds each round's seed and ``thresholds`` the flip threshold
-    of each of the circuit's flip rows.  ``counts`` raises RuntimeError
-    until the job has been sampled.
+    ``seeds`` holds each round's seed and ``probs`` the flip probability
+    of each of the circuit's flip rows; ``sample_jobs`` turns the probs of
+    all the jobs it samples together into thresholds at once.  ``counts``
+    raises RuntimeError until the job has been sampled.
     """
 
-    __slots__ = ("circuit", "shots", "rounds", "seeds", "thresholds", "_counts")
+    __slots__ = ("circuit", "shots", "rounds", "seeds", "probs", "_counts")
 
     def __init__(self, circuit: TranspiledCircuit, shots: int, rounds: int,
-                 seeds: list[int], thresholds: np.ndarray) -> None:
+                 seeds: list[int], probs: np.ndarray) -> None:
         self.circuit, self.shots, self.rounds = circuit, shots, rounds
-        self.seeds, self.thresholds, self._counts = seeds, thresholds, None
+        self.seeds, self.probs, self._counts = seeds, probs, None
 
     @property
     def counts(self) -> Counts:
@@ -192,13 +197,14 @@ class Job:
 
 
 def prepare_job(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
-                rounds: int, seed: int) -> Job:
+                rounds: int, seed: int, price: Callable | None = None) -> Job:
     """Check and price a job of ``rounds`` executions; round r uses
     ``offset_seed(seed, r)``, i.e. seed + r.
 
     Rounds, shots and their product (at most ``_MAX_POOLED_SHOTS``) are
     checked first, then the seed, then the circuit's fit and flip
-    probabilities (``_flip_probs``).  Nothing is sampled.
+    probabilities (``_flip_probs``).  ``price`` stands in for ``key_rates``
+    (``QuantumCloud.batch`` passes its per-batch memo).  Nothing is sampled.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
@@ -208,22 +214,26 @@ def prepare_job(circuit: TranspiledCircuit, noise: NoiseSpec, shots: int,
         raise ValueError(f"shots {shots} x rounds {rounds} exceeds the {_MAX_POOLED_SHOTS} "
                          "shots one job may pool")
     seeds = [offset_seed(seed, r) for r in range(rounds)]
-    return Job(circuit, shots, rounds, seeds, flip_thresholds(_flip_probs(circuit, noise)))
+    return Job(circuit, shots, rounds, seeds, _flip_probs(circuit, noise, price))
 
 
 def sample_jobs(jobs: Sequence[Job]) -> None:
     """Sample every job, and count each one's pooled words into its ``counts``.
 
-    Jobs sharing a circuit object, a shot count and a round count are
-    sampled together, one block per job, in one sampler call per round;
-    more of them than ``_MAX_POOLED_SHOTS`` pooled words hold run as
-    consecutive groups.  Every draw is a pure function of its stream key
-    and shot, so a job's counts do not depend on which jobs share its
-    calls.
+    Jobs alike in what the sampler reads of their circuits (flip salts,
+    flip bits and ideal output, compared by value, so equal circuits built
+    apart are alike), in shot count and in round count are sampled
+    together, one block per job, in one sampler call per round; more of
+    them than ``_MAX_POOLED_SHOTS`` pooled words hold run as consecutive
+    groups.  Every draw is a pure function of its stream key and shot, so a
+    job's counts do not depend on which jobs share its calls.
     """
     alike: dict[tuple, list[Job]] = {}
     for job in jobs:
-        alike.setdefault((id(job.circuit), job.shots, job.rounds), []).append(job)
+        circuit = job.circuit
+        key = (circuit.flip_salts.tobytes(), circuit.flip_bits.tobytes(),
+               circuit.ideal_output, job.shots, job.rounds)
+        alike.setdefault(key, []).append(job)
     for group in alike.values():
         step = max(1, _MAX_POOLED_SHOTS // (group[0].shots * group[0].rounds))
         for lo in range(0, len(group), step):
@@ -231,15 +241,15 @@ def sample_jobs(jobs: Sequence[Job]) -> None:
 
 
 def _sample_blocks(jobs: list[Job]) -> None:
-    """Sample jobs of one circuit, shot count and round count as blocks of
-    one sampler call per round, and count each job's words."""
+    """Sample alike jobs (see ``sample_jobs``) as blocks of one sampler call
+    per round, and count each job's words."""
     circuit, shots, rounds = jobs[0].circuit, jobs[0].shots, jobs[0].rounds
     width = len(circuit.measured)
     ideals = np.full(len(jobs), int(circuit.ideal_output, 2) if width else 0, dtype=np.uint64)
     # round-major, so that each round's keys are one flat run of blocks
     keys = salted_keys([job.seeds[r] for r in range(rounds) for job in jobs],
                        circuit.flip_salts).reshape(rounds, -1)
-    thresholds = np.concatenate([job.thresholds for job in jobs])
+    thresholds = flip_thresholds(np.concatenate([job.probs for job in jobs]))
     # one row of pooled words per job, filled a round at a time
     words = np.empty((len(jobs), rounds * shots), dtype=np.uint64)
     sampler = get_sampler()
@@ -264,7 +274,7 @@ def _count_rows(words: np.ndarray, width: int) -> list[Counts]:
     at = np.flatnonzero(starts)
     distinct, word_counts = flat[at[:-1]], at[1:] - at[:-1]
     ends = np.searchsorted(at, np.arange(pooled, flat.size + 1, pooled)).tolist()
-    return [Counts._from_words(distinct[lo:hi], word_counts[lo:hi], width)
+    return [Counts._from_words(distinct[lo:hi], word_counts[lo:hi], width, pooled)
             for lo, hi in zip([0, *ends], ends)]
 
 

@@ -22,10 +22,13 @@ import pytest
 import fleetgen
 import qprobe.device
 import qprobe.devicesim
-from qprobe import (DeviceProfile, QuantumCloud, Topology, dump_profile, estimate_fingerprint,
-                    load_fleet, manhattan_avg, match_device, survival_from_counts)
+import qprobe.estimator
+from qprobe import (AttackConfig, DeviceProfile, QuantumCloud, Topology, TopologyError,
+                    dump_profile, estimate_fingerprint, load_fleet, manhattan_avg, match_device,
+                    survival_from_counts)
 from qprobe.circuit import compose_probe
-from qprobe.cli import CommandError, ProbeSpec, main, parse_probe_args, parse_strategy
+from qprobe.cli import (CommandError, ProbeSpec, main, parse_probe_args, parse_strategy,
+                        run_identify)
 
 CORNER_PROBE = ["--probe", "bv:11", "--mapping", "0,1,3"]
 DEMO_FLEET = Path(__file__).resolve().parents[1] / "fleets" / "demo" / "fleet.json"
@@ -450,22 +453,122 @@ def test_identify_and_sweep_score_without_the_per_fingerprint_functions(
     capsys.readouterr()
 
 
-def test_identify_checks_topology_once_per_side(corner_fleet, monkeypatch, capsys):
-    original = qprobe.device.topology_compatible
-    calls = []
+def count_pricing(monkeypatch) -> tuple[list, list]:
+    """Two lists the runs fill: each ``key_rates`` call's (circuit, profile)
+    pair of objects, and each ``topology_compatible`` call's topology."""
+    key_rates, fits = qprobe.estimator.key_rates, qprobe.device.topology_compatible
+    priced, checked = [], []
 
-    def counted(circuit, topology):
-        calls.append(topology)
-        return original(circuit, topology)
+    def counted_rates(circuit, profile):
+        priced.append((circuit, profile))
+        return key_rates(circuit, profile)
 
-    # rebind the name in every package module that imported it
+    def counted_fit(circuit, topology):
+        checked.append(topology)
+        return fits(circuit, topology)
+
+    # rebind each name in every package module that imported it
     for name, module in list(sys.modules.items()):
-        if name.startswith("qprobe.") and getattr(module, "topology_compatible", None) is original:
-            monkeypatch.setattr(module, "topology_compatible", counted)
-    assert main(["identify", "--fleet", str(corner_fleet), *CORNER_PROBE]) == 0
+        if name == "qprobe" or name.startswith("qprobe."):
+            for attr, original, counted in (("key_rates", key_rates, counted_rates),
+                                            ("topology_compatible", fits, counted_fit)):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return priced, checked
+
+
+def distinct_pairs(priced: list) -> int:
+    return len({(id(circuit), id(profile)) for circuit, profile in priced})
+
+
+def test_identify_prices_each_device_once(monkeypatch, capsys):
+    priced, checked = count_pricing(monkeypatch)
+    assert main(["identify", "--fleet", str(DEMO_FLEET), *CORNER_PROBE]) == 0
     capsys.readouterr()
-    # per device: the estimate on the user side and the run on the platform side
-    assert len(calls) == 2 * 4
+    # the estimate on the user side prices a device, and its job reuses the row
+    assert len(priced) == distinct_pairs(priced) == len(checked) == 4
+
+
+@pytest.mark.parametrize("probes", [1, 3])
+def test_a_sweep_prices_each_device_once_per_probe(monkeypatch, probes, capsys):
+    priced, checked = count_pricing(monkeypatch)
+    extra = ["--probe", "bv:111", "--mapping", "0,1,2,3", "--probe", "bv:1", "--mapping", "3,4"]
+    argv = ["sweep", "--fleet", str(DEMO_FLEET), *CORNER_PROBE, *extra[:4 * (probes - 1)]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(priced) == distinct_pairs(priced) == len(checked) == 4 * probes
+
+
+def identify_report(cloud) -> str:
+    spec = ProbeSpec((("11", (0, 1, 3)),))
+    return run_identify(cloud, spec, shots=300, rounds=2, seed=7)[0].to_json()
+
+
+def test_forged_and_true_profiles_are_priced_apart(tmp_path, monkeypatch, capsys):
+    priced, _ = count_pricing(monkeypatch)
+    assert main(["identify", "--fleet", str(DEMO_FLEET.with_name("fleet-fab.json")),
+                 *CORNER_PROBE]) == 0
+    capsys.readouterr()
+    assert len(priced) == 1
+    # a forgery baked into the fleet, and one mounted as an attack
+    baked = fleetgen.write_fleet(tmp_path, fleetgen.corner_profiles(),
+                                 extra={"dune": {"fabrication": {"scale": 0.5}}})
+    mounted = load_fleet(DEMO_FLEET)
+    mounted.set_attack(AttackConfig.fabrication("dune", scale=0.5))
+    reports = []
+    for make in (lambda: load_fleet(baked), lambda: mounted):
+        priced.clear()
+        reports.append(identify_report(make()))
+        # four advertised profiles, and dune's true one for its job
+        assert len(priced) == distinct_pairs(priced) == 5
+        assert [p.device_id for _, p in priced] == ["alpine", "boreal", "cascade", "dune",
+                                                    "dune"]
+    # pricing every job afresh gives the same bytes
+    monkeypatch.setattr(QuantumCloud, "price", lambda self, circuit, profile:
+                        qprobe.estimator.key_rates(circuit, profile))
+    assert reports == [identify_report(load_fleet(baked)), identify_report(mounted)]
+    # dune's job ran at its true rates, so it does not match its forged profile
+    assert json.loads(reports[0])["trials"][3]["matched"] != "dune"
+
+
+def test_a_lone_submit_prices_its_own_job(monkeypatch):
+    priced, checked = count_pricing(monkeypatch)
+    cloud = load_fleet(DEMO_FLEET)
+    circuit = compose_probe([("11", (0, 1, 3))], cloud.get_profile("alpine").topology)
+    cloud.price(circuit, cloud.get_profile("alpine"))
+    for _ in range(2):
+        cloud.submit("alpine", circuit, 100, 1, 7)
+    # no memo outside a batch: every call prices
+    assert len(priced) == len(checked) == 3
+    with cloud.batch():
+        cloud.submit("alpine", circuit, 100, 1, 7)
+        cloud.submit("alpine", circuit, 100, 1, 8)
+    assert len(priced) == 4
+    # the memo ended with the batch
+    cloud.submit("alpine", circuit, 100, 1, 7)
+    assert len(priced) == 5
+
+
+def test_a_topology_error_is_raised_at_its_own_submit_in_a_batch(tmp_path, monkeypatch):
+    priced, checked = count_pricing(monkeypatch)
+    cloud = load_fleet(fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(),
+                                                       tiny_profile()]))
+    circuit = compose_probe([("11", (0, 1, 3))], cloud.get_profile("alpine").topology)
+    message = "circuit does not fit the topology of 'tiny'"
+    with cloud.batch():
+        with pytest.raises(TopologyError, match=message):
+            cloud.price(circuit, cloud.get_profile("tiny"))
+        # the earlier checks still come first, in their order
+        with pytest.raises(ValueError, match="shots must be positive"):
+            cloud.submit("tiny", circuit, 0, 1, 0)
+        with pytest.raises(ValueError, match="outside the 64-bit range"):
+            cloud.submit("tiny", circuit, 10, 1, 2**64)
+        for _ in range(2):
+            with pytest.raises(TopologyError, match=message):
+                cloud.submit("tiny", circuit, 10, 1, 0)
+        job = cloud.submit("alpine", circuit, 10, 1, 0)
+    assert job.counts.shots == 10
+    assert len(priced) == len(checked) == 2
 
 
 def count_sampler_calls_and_jobs(monkeypatch) -> tuple[list[int], list[int]]:

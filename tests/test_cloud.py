@@ -225,6 +225,24 @@ def test_batched_counts_do_not_depend_on_how_the_jobs_are_grouped(monkeypatch):
         assert all(same_words(job.counts, want) for job, want in zip(jobs, lone))
 
 
+def test_jobs_of_equal_circuits_built_apart_share_sampler_calls(monkeypatch):
+    cloud = corner_cloud()
+    ids = cloud.device_ids() * 2
+    lone = [cloud.submit(device_id, probe(), 300, 2, seed).counts
+            for seed, device_id in enumerate(ids)]
+    calls = []
+    sampler = qprobe.devicesim.get_sampler()
+    monkeypatch.setattr(qprobe.devicesim, "get_sampler",
+                        lambda: lambda *args: calls.append(len(args[0])) or sampler(*args))
+    with cloud.batch():
+        # each job transpiles its own circuit: equal values, different objects
+        jobs = [cloud.submit(device_id, probe(), 300, 2, seed)
+                for seed, device_id in enumerate(ids)]
+    assert len({id(job._outcome.circuit) for job in jobs}) == 8
+    assert calls == [8, 8]
+    assert all(same_words(job.counts, want) for job, want in zip(jobs, lone))
+
+
 def tiny_profile() -> DeviceProfile:
     return DeviceProfile(device_id="tiny", topology=Topology(2, [(0, 1)]),
                          cnot_error={(0, 1): 0.01}, single_qubit_error={0: 0.0, 1: 0.0},
