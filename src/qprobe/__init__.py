@@ -9,7 +9,6 @@ static calibration comparison cannot.
 from ._flipcore import active_kernel
 from .circuit import (
     CircuitError,
-    FlipEvent,
     Gate,
     LogicalCircuit,
     RoutingError,
@@ -49,7 +48,7 @@ from .devicesim import (
     run_rounds,
     survival_from_counts,
 )
-from .estimator import Fingerprint, QubitTrack, estimate_fingerprint, trace_survival
+from .estimator import Fingerprint, estimate_fingerprint, trace_survival
 
 __version__ = "0.1.0"
 
@@ -62,14 +61,12 @@ __all__ = [
     "DeviceProfile",
     "ErrorVector",
     "Fingerprint",
-    "FlipEvent",
     "Gate",
     "JobResult",
     "LogicalCircuit",
     "NoiseSpec",
     "ProfileError",
     "QuantumCloud",
-    "QubitTrack",
     "RoutingError",
     "Topology",
     "TopologyError",

@@ -12,8 +12,8 @@ arrays: ``flip_sites``, ``flip_bits``, ``flip_slots`` (indices into
 ``error_keys``) and ``flip_salts`` (the seed-free halves of the rows' stream
 keys).  The estimator, the parity oracle and the sampler all read those
 arrays, so they agree; fit checks and prices read ``error_keys``.
-``walk_ops`` wraps the same walk into ``WalkStep``/``FlipEvent`` objects for
-tracing and tests.
+``walk_ops`` yields the same walk's tuples, with each step's locations
+copied, for tracing and tests.
 
 A built circuit is read-only (frozen fields, read-only arrays and mapping
 views), so ``compose_probe`` keeps the circuits it composed and hands the
@@ -39,8 +39,6 @@ __all__ = [
     "LogicalCircuit",
     "TranspiledOp",
     "TranspiledCircuit",
-    "FlipEvent",
-    "WalkStep",
     "CircuitError",
     "RoutingError",
     "build_bv",
@@ -157,30 +155,6 @@ class TranspiledOp:
         else:
             key = ("meas" if self.gate is Gate.MEASURE else "single", registers[0])
         object.__setattr__(self, "error_key", key)
-
-
-@dataclass(frozen=True)
-class FlipEvent:
-    """One error opportunity for one tracked qubit.
-
-    ``sub`` indexes the constituent CNOTs of a SWAP (0..2) and is 0 for every
-    other gate; ``register`` is the physical location of the qubit when the
-    op fires.
-    """
-
-    op_index: int
-    sub: int
-    logical: int
-    register: int
-    error_key: tuple
-
-
-@dataclass(frozen=True)
-class WalkStep:
-    op_index: int
-    op: TranspiledOp
-    events: tuple[FlipEvent, ...]
-    locations: dict[int, int]
 
 
 def _swap(loc: dict[int, int], owner: dict[int, int], a: int, b: int) -> tuple:
@@ -307,18 +281,21 @@ class TranspiledCircuit:
             object.__setattr__(self, name, array)
 
 
-def walk_ops(circuit: TranspiledCircuit) -> Iterator[WalkStep]:
-    """Per-op flip events and locations of a transpiled circuit.
+def walk_ops(circuit: TranspiledCircuit
+             ) -> Iterator[tuple[int, TranspiledOp, list[tuple[int, int, int]], dict[int, int]]]:
+    """Per op (op index, op, events, locations) of a transpiled circuit.
 
-    Walks ``circuit.ops`` anew on each call; jobs never do.  A SWAP contributes
-    three events (its constituent CNOTs) to each tracked qubit it touches and
-    then exchanges their locations; a MEASURE contributes one event at the
-    qubit's final register.  This is the circuit's own build walk, with each
-    step held as objects and its locations copied.
+    Walks ``circuit.ops`` anew on each call; jobs never do.  Each event is a
+    (sub, logical, register) tuple: ``sub`` indexes the constituent CNOTs of
+    a SWAP (0..2) and is 0 for every other gate, and ``register`` is where
+    the qubit sits when the op fires.  A SWAP contributes three events to
+    each tracked qubit it touches and then exchanges their locations; a
+    MEASURE contributes one event at the qubit's final register.  This is
+    the circuit's own build walk, with each step's logical -> register
+    locations copied into a new dict.
     """
     for idx, op, events, loc in _walk(circuit.ops, circuit.initial_mapping):
-        yield WalkStep(idx, op, tuple(FlipEvent(idx, sub, q, r, op.error_key)
-                                      for sub, q, r in events), dict(loc))
+        yield idx, op, events, dict(loc)
 
 
 def build_bv(secret: str) -> LogicalCircuit:

@@ -8,7 +8,7 @@ with identical flags produce byte-identical output.
 ``identify`` and ``sweep`` sample and score array-wide.  Per probe they
 open one ``QuantumCloud.batch``, price every fitting device once into a
 (candidates × qubits) estimate array (``QuantumCloud.price``, whose row
-each device's job then reuses), submit every job (one
+each device's job then reuses), submit one job per candidate (one
 ``QuantumCloud.submit`` each), so that all the probe's jobs are sampled in
 one kernel call per round, read all the jobs' outcomes into one
 (jobs × qubits) survival array, and compare the two as a (jobs ×
@@ -395,21 +395,21 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
                  seed: int) -> tuple[ExperimentReport, int]:
     """Blind identification: probe every device, match against every candidate.
 
-    Every device's job runs first; the jobs are then scored together, as
-    one survival row per job against the candidates' estimate array.
+    The candidates are the devices the probe fits, each priced once, and
+    exactly those devices run a job; the jobs are then scored together, as
+    one survival row per job against the candidates' estimate array.  A
+    device's advertised and true profiles share a topology, so a device the
+    probe does not fit could not have run it either; its row is null.
     """
     circuit, reference = probe.build(cloud)
     device_ids = cloud.device_ids()
     seeds = [offset_seed(seed, i * rounds) for i in range(len(device_ids))]
-    jobs = {}
+    seed_of = dict(zip(device_ids, seeds))
     with cloud.batch():
         candidates, expected = _fleet_estimates(cloud, circuit)
-        for device_id, row_seed in zip(device_ids, seeds):
-            try:
-                jobs[device_id] = cloud.submit(device_id, circuit, shots, rounds, row_seed)
-            except TopologyError:
-                continue
-    observed = survival_array([job.counts for job in jobs.values()], circuit.ideal_output)
+        jobs = [cloud.submit(device_id, circuit, shots, rounds, seed_of[device_id])
+                for device_id in candidates]
+    observed = survival_array([job.counts for job in jobs], circuit.ideal_output)
     best, distances = match_devices(candidates, expected, observed)
     if len(candidates) > 1:
         ranked = np.sort(distances, axis=1)
@@ -417,8 +417,8 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
     else:
         margins = [None] * len(jobs)
 
-    # a device whose job did not run has null cells
-    nulls = frozenset(i for i, device_id in enumerate(device_ids) if device_id not in jobs)
+    # a device the probe does not fit runs no job and has null cells
+    nulls = frozenset(i for i, device_id in enumerate(device_ids) if device_id not in candidates)
     matched = _with_nulls(best, nulls, None)
     correct = [best_id == device_id for best_id, device_id in zip(matched, device_ids)]
     table = Table(len(device_ids), {
@@ -426,7 +426,7 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
         "margin": _with_nulls(margins, nulls, None),
         "distances": Table(len(jobs), dict(zip(candidates, distances.T.tolist())), nulls)})
     rows, n_correct = len(device_ids), sum(correct)
-    ambiguous = [device_id for device_id, margin in zip(jobs, margins)
+    ambiguous = [device_id for device_id, margin in zip(candidates, margins)
                  if margin is not None and margin < AMBIGUITY_MARGIN]
     report = ExperimentReport(
         kind="identify",
@@ -645,7 +645,7 @@ def trace(args: argparse.Namespace) -> int:
         else:
             op = circuit.ops[op_index]
             head = f"op{op_index:<3} {op.gate.value:<8}({','.join(map(str, op.registers))})"
-        body = "  ".join(f"q{t.logical}@{t.register} {t.survival:.6f}" for t in tracks)
+        body = "  ".join(f"q{q}@{r} {s:.6f}" for q, r, s in tracks)
         print(f"{head:<18} {body}")
     return 0
 

@@ -8,9 +8,10 @@ distances observed on separated fleets.
 
 Distances are arrays: ``distance_array`` compares every observed row with
 every expected row at once, adding the per-qubit |differences| column by
-column, left to right, as ``manhattan_avg`` adds them for one pair, so both
-give the same floats.  ``match_devices`` picks each observed row's closest
-candidate from that array; ``match_device`` is its one-row case.
+column, left to right.  That fold is the only one: ``manhattan_avg`` (and
+so ``detect``) is its one-row case, and ``match_devices`` picks each
+observed row's closest candidate from the same array; ``match_device`` is
+its one-row case.
 
 `static_match` is the baseline scheme this protocol improves on: comparing
 advertised calibration vectors directly, with an unaveraged Manhattan
@@ -63,21 +64,13 @@ def _fold(columns):
     return reduce(add, columns, 0.0)
 
 
-def manhattan_avg(a: Fingerprint, b: Fingerprint) -> float:
-    """Average per-qubit Manhattan distance between two fingerprints."""
-    xs, ys = a.survivals, b.survivals
-    if not xs or len(xs) != len(ys):
-        raise ValueError("fingerprints must be non-empty and the same length")
-    return _fold(map(abs, map(sub, xs, ys))) / len(xs)
-
-
 def distance_array(expected: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """(observed rows × expected rows) average per-qubit Manhattan distances.
 
-    Entry [j, c] is ``manhattan_avg`` of expected row c and observed row j,
-    bit for bit: the |differences| are added one qubit column at a time, left
-    to right, and then divided by the width.  Both arrays are checked as a
-    ``Fingerprint`` checks its survivals.
+    Entry [j, c] compares expected row c with observed row j: the
+    |differences| are added one qubit column at a time, left to right, and
+    then divided by the width.  Both arrays are checked as a ``Fingerprint``
+    checks its survivals.
     """
     width = expected.shape[-1]
     if not width or observed.shape[-1] != width:
@@ -85,6 +78,12 @@ def distance_array(expected: np.ndarray, observed: np.ndarray) -> np.ndarray:
     check_survivals(expected)
     check_survivals(observed)
     return _fold(np.abs(expected - observed[:, None, :]).transpose(2, 0, 1)) / width
+
+
+def manhattan_avg(a: Fingerprint, b: Fingerprint) -> float:
+    """Average per-qubit Manhattan distance between two fingerprints: the
+    one-row case of ``distance_array``."""
+    return distance_array(np.array([a.survivals]), np.array([b.survivals])).item()
 
 
 def check_threshold(threshold: float) -> None:

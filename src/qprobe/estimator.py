@@ -7,6 +7,8 @@ op's published error rate; a SWAP counts as its three constituent CNOTs and
 exchanges the two locations; a MEASURE applies the readout error of the
 register the qubit ends up on.  That pass is the circuit's flip table; an
 estimate prices it with ``key_rates`` and multiplies it out with ``fold_flips``.
+``trace_survival`` replays the same pass with ``walk_ops`` and returns the
+triples as plain tuples after every op.
 
 Estimates are arrays: ``estimate_array`` turns one row of key rates per
 device into one row of survivals per device, so a command that compares a
@@ -23,17 +25,8 @@ import numpy as np
 from .circuit import TranspiledCircuit, walk_ops
 from .device import DeviceProfile, TopologyError, topology_compatible
 
-__all__ = ["QubitTrack", "Fingerprint", "check_survivals", "key_rates", "fold_flips",
+__all__ = ["Fingerprint", "check_survivals", "key_rates", "fold_flips",
            "estimate_array", "estimate_fingerprint", "trace_survival"]
-
-
-@dataclass(frozen=True)
-class QubitTrack:
-    """Snapshot of one tracked qubit: where it sits and how likely it survived."""
-
-    logical: int
-    register: int
-    survival: float
 
 
 @dataclass(frozen=True)
@@ -100,18 +93,21 @@ def estimate_fingerprint(circuit: TranspiledCircuit, profile: DeviceProfile) -> 
     return Fingerprint(tuple(estimate_array(circuit, key_rates(circuit, profile)).tolist()))
 
 
-def trace_survival(circuit: TranspiledCircuit,
-                   profile: DeviceProfile) -> list[tuple[int, tuple[QubitTrack, ...]]]:
+def trace_survival(circuit: TranspiledCircuit, profile: DeviceProfile
+                   ) -> list[tuple[int, tuple[tuple[int, int, float], ...]]]:
     """Survival snapshots before execution (index -1) and after every op.
 
-    The final snapshot's measured-qubit survivals equal estimate_fingerprint.
+    Each snapshot is (op index, ((logical, register, survival), ...)), one
+    triple per tracked qubit in logical order.  The final snapshot's
+    measured-qubit survivals equal estimate_fingerprint.
     """
     rate = dict(zip(circuit.error_keys, key_rates(circuit, profile).tolist()))
-    survival = {q: 1.0 for q in circuit.initial_mapping}
-    snapshots = [(-1, circuit.initial_mapping, dict(survival))]
-    for step in walk_ops(circuit):
-        for ev in step.events:
-            survival[ev.logical] *= 1.0 - rate[ev.error_key]
-        snapshots.append((step.op_index, step.locations, dict(survival)))
-    return [(index, tuple(QubitTrack(q, locations[q], s[q]) for q in sorted(locations)))
-            for index, locations, s in snapshots]
+    qubits = sorted(circuit.initial_mapping)
+    survival = dict.fromkeys(qubits, 1.0)
+    snapshots = [(-1, tuple((q, circuit.initial_mapping[q], 1.0) for q in qubits))]
+    for idx, op, events, locations in walk_ops(circuit):
+        factor = 1.0 - rate[op.error_key]
+        for _, q, _ in events:
+            survival[q] *= factor
+        snapshots.append((idx, tuple((q, locations[q], survival[q]) for q in qubits)))
+    return snapshots

@@ -111,9 +111,9 @@ def test_c04_estimator_bias_is_bounded(acceptance_log):
         est = estimate_fingerprint(circuit, profile)
         exact = exact_survival(circuit, noise)
         rates: dict[int, list[float]] = {}
-        for step in walk_ops(circuit):
-            for ev in step.events:
-                rates.setdefault(ev.logical, []).append(profile.rate_for(ev.error_key))
+        for _, op, events, _ in walk_ops(circuit):
+            for _, logical, _ in events:
+                rates.setdefault(logical, []).append(profile.rate_for(op.error_key))
         for k, q in enumerate(circuit.measured):
             gap = exact[k] - est[k]
             bound = (len(rates[q]) * max(rates[q])) ** 2 / 2

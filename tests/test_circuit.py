@@ -264,15 +264,15 @@ def test_routed_probe_still_computes_its_secret(data):
 def test_walk_swap_emits_three_events_and_exchanges_locations():
     circ = transpile(build_bv("1"), line(3), [0, 2])
     steps = list(walk_ops(circ))
-    swap_steps = [s for s in steps if s.op.gate is Gate.SWAP]
+    swap_steps = [s for s in steps if s[1].gate is Gate.SWAP]
     assert len(swap_steps) == 1
-    step = swap_steps[0]
+    _, _, events, locations = swap_steps[0]
     by_logical = {}
-    for ev in step.events:
-        by_logical.setdefault(ev.logical, []).append(ev.sub)
+    for sub, logical, _ in events:
+        by_logical.setdefault(logical, []).append(sub)
     assert all(subs == [0, 1, 2] for subs in by_logical.values())
     # the tracked input hops from register 0 to register 1
-    assert step.locations[0] == 1
+    assert locations[0] == 1
 
 
 def test_walk_ops_walks_afresh_to_the_final_mapping():
@@ -280,7 +280,18 @@ def test_walk_ops_walks_afresh_to_the_final_mapping():
     steps = list(walk_ops(circ))
     assert list(walk_ops(circ)) == steps
     assert len(steps) == len(circ.ops)
-    assert steps[-1].locations == circ.final_mapping
+    assert all(type(step) is tuple and len(step) == 4 for step in steps)
+    assert [op_index for op_index, *_ in steps] == list(range(len(circ.ops)))
+    assert [op for _, op, *_ in steps] == list(circ.ops)
+    assert steps[-1][3] == circ.final_mapping
+    # each step's locations are a dict of its own, not the walk's live map
+    locations = [loc for *_, loc in steps]
+    assert all(type(loc) is dict for loc in locations)
+    assert len({id(loc) for loc in locations}) == len(steps)
+    before = [dict(loc) for loc in locations]
+    locations[0].clear()
+    assert locations[1:] == before[1:]
+    assert list(walk_ops(circ))[0][3] == before[0]
 
 
 def test_walk_rejects_ops_on_measured_registers():

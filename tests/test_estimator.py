@@ -60,15 +60,15 @@ def test_trace_snapshots_follow_the_walk():
     assert [op_index for op_index, _ in steps] == [-1, 0, 1, 2, 3, 4]
 
     (track0,) = steps[0][1]
-    assert (track0.logical, track0.register, track0.survival) == (0, 0, 1.0)
+    assert track0 == (0, 0, 1.0)
 
     # the SWAP costs three CNOT factors and moves the qubit to register 1
-    (after_swap,) = steps[2][1]
-    assert after_swap.register == 1
-    assert after_swap.survival == pytest.approx(0.9985 * 0.987 ** 3, abs=1e-12)
+    ((_, register, survival),) = steps[2][1]
+    assert register == 1
+    assert survival == pytest.approx(0.9985 * 0.987 ** 3, abs=1e-12)
 
-    (final,) = steps[-1][1]
-    assert final.survival == estimate_fingerprint(chain_circuit(), chain_profile())[0]
+    ((_, _, final),) = steps[-1][1]
+    assert final == estimate_fingerprint(chain_circuit(), chain_profile())[0]
 
 
 def test_lower_advertised_rates_raise_every_survival():
@@ -116,11 +116,12 @@ def test_fingerprint_validation_and_access():
 
 
 def per_event_fold(circuit: TranspiledCircuit, factor) -> tuple[float, ...]:
-    """Oracle: per tracked qubit, the product of factor(event) in walk order."""
+    """Oracle: per tracked qubit, the product of factor(op) over its events,
+    in walk order."""
     product = {q: 1.0 for q in circuit.initial_mapping}
-    for step in walk_ops(circuit):
-        for ev in step.events:
-            product[ev.logical] *= factor(ev)
+    for _, op, events, _ in walk_ops(circuit):
+        for _, logical, _ in events:
+            product[logical] *= factor(op)
     return tuple(product[q] for q in circuit.measured)
 
 
@@ -136,11 +137,25 @@ def fold_cases():
 @pytest.mark.parametrize("circuit, noise", fold_cases())
 def test_estimate_and_oracle_equal_the_per_event_fold_bit_for_bit(circuit, noise):
     profile, hidden = noise.true_profile, noise.hidden_rate
-    estimate = per_event_fold(circuit, lambda ev: 1.0 - profile.rate_for(ev.error_key))
+    estimate = per_event_fold(circuit, lambda op: 1.0 - profile.rate_for(op.error_key))
     parity = per_event_fold(
-        circuit, lambda ev: 1.0 - 2.0 * (profile.rate_for(ev.error_key) + hidden))
+        circuit, lambda op: 1.0 - 2.0 * (profile.rate_for(op.error_key) + hidden))
     assert estimate_fingerprint(circuit, profile).survivals == estimate
     assert exact_survival(circuit, noise).survivals == tuple((1.0 + x) / 2.0 for x in parity)
+
+
+@pytest.mark.parametrize("circuit, noise", fold_cases())
+def test_last_trace_snapshot_is_the_estimate_bit_for_bit(circuit, noise):
+    profile = noise.true_profile
+    steps = trace_survival(circuit, profile)
+    assert [op_index for op_index, _ in steps] == list(range(-1, len(circuit.ops)))
+    assert all(type(track) is tuple and len(track) == 3 for _, tracks in steps for track in tracks)
+    assert [[q for q, _, _ in tracks] for _, tracks in steps] == \
+        [sorted(circuit.initial_mapping)] * len(steps)
+    last = {q: (register, survival) for q, register, survival in steps[-1][1]}
+    assert {q: register for q, (register, _) in last.items()} == circuit.final_mapping
+    assert tuple(last[q][1] for q in circuit.measured) == \
+        estimate_fingerprint(circuit, profile).survivals
 
 
 def fleets():
@@ -171,7 +186,7 @@ def test_estimate_array_rows_equal_the_per_device_estimate(fleet, secret, mappin
     assert rows.shape == (len(profiles), len(circuit.measured))
     for profile, row in zip(profiles, rows.tolist()):
         assert tuple(row) == estimate_fingerprint(circuit, profile).survivals == per_event_fold(
-            circuit, lambda ev: 1.0 - profile.rate_for(ev.error_key))
+            circuit, lambda op: 1.0 - profile.rate_for(op.error_key))
 
 
 def hand_built_cases():
@@ -206,18 +221,23 @@ def test_flips_are_the_measured_events_of_the_walk(circuit, noise):
     ``noise`` is unused; the cases are shared with the bit-for-bit fold test.
     """
     bit_of = {q: i for i, q in enumerate(circuit.measured)}
-    events = [ev for step in walk_ops(circuit) for ev in step.events if ev.logical in bit_of]
+    steps = list(walk_ops(circuit))
+    assert all(type(step) is tuple and len(step) == 4 for step in steps)
+    # (op index, sub-op, register, logical, error key) per measured event
+    events = [(op_index, sub, register, logical, op.error_key)
+              for op_index, op, step_events, _ in steps
+              for sub, logical, register in step_events if logical in bit_of]
     assert circuit.flip_sites.shape == (len(events), 3)
-    assert circuit.flip_sites.tolist() == [[ev.op_index, ev.sub, ev.register] for ev in events]
-    assert circuit.flip_bits.tolist() == [bit_of[ev.logical] for ev in events]
+    assert circuit.flip_sites.tolist() == [[i, sub, r] for i, sub, r, _, _ in events]
+    assert circuit.flip_bits.tolist() == [bit_of[q] for _, _, _, q, _ in events]
     assert [circuit.error_keys[i] for i in circuit.flip_slots.tolist()] == \
-        [ev.error_key for ev in events]
-    bits = [bit_of[ev.logical] for ev in events]
+        [key for *_, key in events]
+    bits = [bit_of[q] for _, _, _, q, _ in events]
     assert circuit.flip_places.tolist() == [bits[:i].count(bit) for i, bit in enumerate(bits)]
     gamma = 0x9E3779B97F4A7C15
     assert circuit.flip_salts.tolist() == [
-        [(ev.op_index * 4 + ev.sub + 1) * gamma % 2**64 for ev in events],
-        [(ev.register + 1) * gamma % 2**64 for ev in events]]
+        [(i * 4 + sub + 1) * gamma % 2**64 for i, sub, _, _, _ in events],
+        [(r + 1) * gamma % 2**64 for _, _, r, _, _ in events]]
     for array in (circuit.flip_sites, circuit.flip_bits, circuit.flip_slots, circuit.flip_places):
         assert array.dtype == np.int64
     assert circuit.flip_salts.dtype == np.uint64
