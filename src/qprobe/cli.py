@@ -5,17 +5,17 @@ are driven by a fleet config file and probe specs; reports are emitted as
 JSON or CSV and contain no timestamps or environment state, so two runs
 with identical flags produce byte-identical output.
 
-``identify`` and ``sweep`` sample and score array-wide.  Per probe they
-open one ``QuantumCloud.batch``, price every fitting device once into a
-(candidates × qubits) estimate array (``QuantumCloud.price``, whose row
-each device's job then reuses), submit one job per candidate (one
-``QuantumCloud.submit`` each), so that all the probe's jobs are sampled in
-one kernel call per round, read all the jobs' outcomes into one
-(jobs × qubits) survival array, and compare the two as a (jobs ×
-candidates) distance array.  Every float equals what the per-fingerprint
-functions (``estimate_fingerprint``, ``survival_from_counts``,
-``manhattan_avg``), the one-row cases, give for that pair.  The sweep
-summary is read from the distance arrays.
+Two loops run the experiments.  ``detect-sub`` (one probe) and
+``detect-fab`` (k probes) share the paper's check: build and estimate every
+probe, then run one lone job per probe and score it through
+``estimate_fingerprint``, ``survival_from_counts`` and ``detect``.
+``identify`` and ``sweep`` share a fleet loop: per probe, in one
+``QuantumCloud.batch``, price every device the probe fits once
+(``QuantumCloud.price``, whose row the device's job reuses) and submit one
+job to each, so the probe's jobs are sampled in one kernel call per round;
+the (candidates × qubits) estimate array and (jobs × qubits) survival array
+are compared as one distance array, whose every float equals the one-row
+functions' for that pair.  The sweep summary masks the distances.
 
 Reports are written by ``ExperimentReport``, whose rows every command
 builds as columns: a ``Table`` of equal-length lists keyed by field, so the
@@ -45,9 +45,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -376,19 +378,62 @@ def _emit(report: ExperimentReport, args: argparse.Namespace, summary: str) -> N
 # --- experiment drivers -------------------------------------------------------
 
 
-def _fleet_estimates(cloud: QuantumCloud,
-                     circuit: TranspiledCircuit) -> tuple[list[str], np.ndarray]:
-    """Ids of the catalog devices the circuit fits, in id order, and their
-    (devices × measured qubits) estimate array.  Each device is priced by
-    ``cloud.price``, so inside a batch its jobs reuse the row."""
-    fitting, rates = [], []
-    for device_id in cloud.device_ids():
+def _detect_jobs(cloud: QuantumCloud, device_id: str, attack: AttackConfig,
+                 probes: list[ProbeSpec], shots: int, rounds: int, seed: int,
+                 threshold: float, misfit: str) -> tuple[list[int], list, list[str]]:
+    """The paper's check on one device, one lone job per probe: each job's
+    seed, distance and classification.  Every probe is built and estimated
+    before any job runs; one that does not fit the device raises
+    CommandError, ``misfit`` filled in from ``label`` and ``device``.  A job
+    the platform cannot run where it routes it has no distance: fraudulent.
+    """
+    # checked up front: a topology error below yields a verdict without detect()
+    check_threshold(threshold)
+    cloud.set_attack(attack)
+    built = []
+    for probe in probes:
+        circuit, _ = probe.build(cloud)
         try:
-            rates.append(cloud.price(circuit, cloud.get_profile(device_id)))
+            built.append((circuit, estimate_fingerprint(circuit, cloud.get_profile(device_id))))
         except TopologyError:
+            raise CommandError(misfit.format(label=probe.label, device=device_id)) from None
+    seeds = [offset_seed(seed, i * rounds) for i in range(len(probes))]
+    distances, classifications = [], []
+    for (circuit, expected), job_seed in zip(built, seeds):
+        try:
+            job = cloud.submit(device_id, circuit, shots, rounds, job_seed)
+        except TopologyError:
+            distances.append(None)
+            classifications.append("fraudulent")
             continue
-        fitting.append(device_id)
-    return fitting, estimate_array(circuit, np.array(rates))
+        verdict = detect(expected, survival_from_counts(job.counts, circuit.ideal_output),
+                         threshold)
+        distances.append(verdict.distance)
+        classifications.append(verdict.classification)
+    return seeds, distances, classifications
+
+
+def _fleet_jobs(cloud: QuantumCloud, circuit: TranspiledCircuit, shots: int, rounds: int,
+                seed_of: Callable[[str], int]) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """One batch that prices every catalog device the circuit fits and runs
+    one job on each, seeded by ``seed_of(device id)``: the fitting ids in id
+    order, the jobs' seeds, the (devices × measured qubits) estimate array
+    and the (jobs × measured qubits) survival array.
+    """
+    fitting, rates = [], []
+    with cloud.batch():
+        for device_id in cloud.device_ids():
+            try:
+                rates.append(cloud.price(circuit, cloud.get_profile(device_id)))
+            except TopologyError:
+                continue
+            fitting.append(device_id)
+        expected = estimate_array(circuit, np.array(rates))
+        seeds = [seed_of(device_id) for device_id in fitting]
+        jobs = [cloud.submit(device_id, circuit, shots, rounds, job_seed)
+                for device_id, job_seed in zip(fitting, seeds)]
+    return fitting, seeds, expected, survival_array([job.counts for job in jobs],
+                                                    circuit.ideal_output)
 
 
 def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
@@ -404,18 +449,14 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
     circuit, reference = probe.build(cloud)
     device_ids = cloud.device_ids()
     seeds = [offset_seed(seed, i * rounds) for i in range(len(device_ids))]
-    seed_of = dict(zip(device_ids, seeds))
-    with cloud.batch():
-        candidates, expected = _fleet_estimates(cloud, circuit)
-        jobs = [cloud.submit(device_id, circuit, shots, rounds, seed_of[device_id])
-                for device_id in candidates]
-    observed = survival_array([job.counts for job in jobs], circuit.ideal_output)
+    candidates, _, expected, observed = _fleet_jobs(cloud, circuit, shots, rounds,
+                                                    dict(zip(device_ids, seeds)).__getitem__)
     best, distances = match_devices(candidates, expected, observed)
     if len(candidates) > 1:
         ranked = np.sort(distances, axis=1)
         margins = (ranked[:, 1] - ranked[:, 0]).tolist()
     else:
-        margins = [None] * len(jobs)
+        margins = [None] * len(candidates)
 
     # a device the probe does not fit runs no job and has null cells
     nulls = frozenset(i for i, device_id in enumerate(device_ids) if device_id not in candidates)
@@ -424,11 +465,11 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
     table = Table(len(device_ids), {
         "device": device_ids, "seed": seeds, "matched": matched, "correct": correct,
         "margin": _with_nulls(margins, nulls, None),
-        "distances": Table(len(jobs), dict(zip(candidates, distances.T.tolist())), nulls)})
+        "distances": Table(len(candidates), dict(zip(candidates, distances.T.tolist())), nulls)})
     rows, n_correct = len(device_ids), sum(correct)
     ambiguous = [device_id for device_id, margin in zip(candidates, margins)
                  if margin is not None and margin < AMBIGUITY_MARGIN]
-    report = ExperimentReport(
+    return ExperimentReport(
         kind="identify",
         params={"probe": probe.label, "shots": shots, "rounds": rounds, "seed": seed,
                 "reference_device": reference, "candidates": candidates},
@@ -436,77 +477,48 @@ def run_identify(cloud: QuantumCloud, probe: ProbeSpec, shots: int, rounds: int,
         summary={"rows": rows, "correct": n_correct,
                  "accuracy": n_correct / rows if rows else None,
                  "ambiguous": ambiguous},
-    )
-    return report, 0 if n_correct == rows else 2
+    ), 0 if n_correct == rows else 2
 
 
 def run_detect_substitution(cloud: QuantumCloud, victim: str, actual: str,
                             probe: ProbeSpec, shots: int, rounds: int, seed: int,
                             threshold: float) -> tuple[ExperimentReport, int]:
     """Mount a substitution attack and test whether probing catches it."""
-    # checked up front: a topology error below yields a verdict without detect()
-    check_threshold(threshold)
-    cloud.set_attack(AttackConfig.substitution(victim, actual))
-    circuit, _ = probe.build(cloud)
-    try:
-        expected = estimate_fingerprint(circuit, cloud.get_profile(victim))
-    except TopologyError:
-        raise CommandError(f"probe does not fit victim device {victim!r}") from None
-    try:
-        job = cloud.submit(victim, circuit, shots, rounds, seed)
-    except TopologyError:
-        # The platform could not even run the probe on the stand-in machine;
-        # that is caught immediately.
-        topology_error, distance, classification, code = True, None, "fraudulent", 2
-    else:
-        observed = survival_from_counts(job.counts, circuit.ideal_output)
-        verdict = detect(expected, observed, threshold)
-        topology_error, distance, classification = False, verdict.distance, verdict.classification
-        code = 2 if verdict.is_fraud else 0
-    report = ExperimentReport(
+    _, (distance,), (classification,) = _detect_jobs(
+        cloud, victim, AttackConfig.substitution(victim, actual), [probe], shots, rounds,
+        seed, threshold, "probe does not fit victim device {device!r}")
+    return ExperimentReport(
         kind="detect-sub",
         params={"probe": probe.label, "victim": victim, "actual": actual,
                 "shots": shots, "rounds": rounds, "seed": seed, "threshold": threshold},
         table=Table(1, {"probe": [probe.label], "victim": [victim], "actual": [actual],
                         "seed": [seed], "threshold": [threshold],
-                        "topology_error": [topology_error], "distance": [distance],
+                        "topology_error": [distance is None], "distance": [distance],
                         "classification": [classification]}),
         summary={"classification": classification, "distance": distance},
-    )
-    return report, code
+    ), 2 if classification == "fraudulent" else 0
 
 
 def run_detect_fabrication(cloud: QuantumCloud, device_id: str, strategy: dict,
                            probes: list[ProbeSpec], shots: int, rounds: int,
                            seed: int, threshold: float) -> tuple[ExperimentReport, int]:
     """Advertise a doctored profile and probe the device against it."""
-    cloud.set_attack(AttackConfig.fabrication(device_id, scale=strategy.get("scale"),
-                                              overrides=strategy.get("overrides")))
-    seeds, verdicts = [], []
-    for i, probe in enumerate(probes):
-        circuit, _ = probe.build(cloud)
-        try:
-            expected = estimate_fingerprint(circuit, cloud.get_profile(device_id))
-        except TopologyError:
-            raise CommandError(
-                f"probe {probe.label!r} does not fit device {device_id!r}") from None
-        seeds.append(offset_seed(seed, i * rounds))
-        job = cloud.submit(device_id, circuit, shots, rounds, seeds[-1])
-        observed = survival_from_counts(job.counts, circuit.ideal_output)
-        verdicts.append(detect(expected, observed, threshold))
+    attack = AttackConfig.fabrication(device_id, scale=strategy.get("scale"),
+                                      overrides=strategy.get("overrides"))
+    seeds, distances, classifications = _detect_jobs(
+        cloud, device_id, attack, probes, shots, rounds, seed, threshold,
+        "probe {label!r} does not fit device {device!r}")
     labels = [p.label for p in probes]
-    n, n_fraud = len(probes), sum(verdict.is_fraud for verdict in verdicts)
-    report = ExperimentReport(
+    n, n_fraud = len(probes), classifications.count("fraudulent")
+    return ExperimentReport(
         kind="detect-fab",
         params={"device": device_id, "strategy": strategy, "shots": shots,
                 "rounds": rounds, "seed": seed, "threshold": threshold, "probes": labels},
         table=Table(n, {"probe": labels, "device": [device_id] * n, "seed": seeds,
-                        "distance": [verdict.distance for verdict in verdicts],
-                        "threshold": [threshold] * n,
-                        "classification": [verdict.classification for verdict in verdicts]}),
+                        "distance": distances, "threshold": [threshold] * n,
+                        "classification": classifications}),
         summary={"trials": n, "fraudulent": n_fraud},
-    )
-    return report, 2 if n_fraud else 0
+    ), 2 if n_fraud else 0
 
 
 def _stats(values: np.ndarray) -> dict | None:
@@ -530,62 +542,46 @@ def run_threshold_sweep(cloud: QuantumCloud, probes: list[ProbeSpec], shots: int
     """
     columns: dict[str, list] = {key: [] for key in (
         "probe", "size", "device", "candidate", "seed", "pair", "distance")}
-    # per probe: its size, and its honest and cross distances
-    sizes: list[int] = []
-    parts: dict[str, list[np.ndarray]] = {"honest": [], "cross": []}
-    job_index = 0
+    # per row: its distance, whether its pair is honest, and its probe's size
+    distance, honest, size = [], [], []
+    job_seeds = (offset_seed(seed, j * rounds) for j in itertools.count())
     for probe in probes:
-        label, size = probe.label, probe.size
         circuit, _ = probe.build(cloud)
-        with cloud.batch():
-            fitting, expected = _fleet_estimates(cloud, circuit)
-            seeds = [offset_seed(seed, (job_index + k) * rounds) for k in range(len(fitting))]
-            jobs = [cloud.submit(device_id, circuit, shots, rounds, job_seed)
-                    for device_id, job_seed in zip(fitting, seeds)]
-        job_index += len(fitting)
-        observed = survival_array([job.counts for job in jobs], circuit.ideal_output)
-        distances = distance_array(expected, observed)
+        fitting, seeds, expected, observed = _fleet_jobs(
+            cloud, circuit, shots, rounds, lambda _: next(job_seeds))
         # one row per (job, candidate) pair, job-major; the honest pairs are the diagonal
         m = len(fitting)
         pairs = ["cross"] * (m * m)
         pairs[::m + 1] = ["honest"] * m
-        columns["probe"] += [label] * (m * m)
-        columns["size"] += [size] * (m * m)
+        columns["probe"] += [probe.label] * (m * m)
         columns["device"] += [device_id for device_id in fitting for _ in fitting]
         columns["candidate"] += fitting * m
         columns["seed"] += [job_seed for job_seed in seeds for _ in fitting]
         columns["pair"] += pairs
-        columns["distance"] += distances.ravel().tolist()
-        honest = np.eye(m, dtype=bool)
-        sizes.append(size)
-        parts["honest"].append(distances[honest])
-        parts["cross"].append(distances[~honest])
+        distance.append(distance_array(expected, observed).ravel())
+        honest.append(np.eye(m, dtype=bool).ravel())
+        size.append(np.full(m * m, probe.size))
+    distance, honest, size = map(np.concatenate, (distance, honest, size))
+    columns["size"], columns["distance"] = size.tolist(), distance.tolist()
 
-    def pooled(pair: str, size: int | None = None) -> np.ndarray:
-        """A pair kind's distances in row order, of every probe or of one size."""
-        return np.concatenate([part for part_size, part in zip(sizes, parts[pair])
-                               if size in (None, part_size)])
-
-    honest, cross = pooled("honest"), pooled("cross")
-    by_size = {str(size): {pair: _stats(pooled(pair, size)) for pair in parts}
-               for size in sorted(set(sizes))}
-    summary: dict = {"honest": _stats(honest), "cross": _stats(cross), "by_size": by_size}
-    if honest.size and cross.size:
+    kinds = {"honest": honest, "cross": ~honest}
+    summary: dict = {pair: _stats(distance[mask]) for pair, mask in kinds.items()}
+    summary["by_size"] = {str(k): {pair: _stats(distance[mask & (size == k)])
+                                   for pair, mask in kinds.items()}
+                          for k in sorted(set(columns["size"]))}
+    if summary["honest"] and summary["cross"]:
         gap = [summary["honest"]["max"], summary["cross"]["min"]]
-        summary["gap"] = gap
-        summary["gap_valid"] = gap[0] < gap[1]
-        summary["threshold_in_gap"] = gap[0] <= DEFAULT_THRESHOLD < gap[1]
+        summary.update(gap=gap, gap_valid=gap[0] < gap[1],
+                       threshold_in_gap=gap[0] <= DEFAULT_THRESHOLD < gap[1])
     else:
-        summary["gap"] = None
-        summary["note"] = "no cross pairs; gap not computable"
-    report = ExperimentReport(
+        summary.update(gap=None, note="no cross pairs; gap not computable")
+    return ExperimentReport(
         kind="sweep",
         params={"probes": [p.label for p in probes], "shots": shots,
                 "rounds": rounds, "seed": seed},
         table=Table(len(columns["probe"]), columns),
         summary=summary,
-    )
-    return report, 0
+    ), 0
 
 
 # --- command line ------------------------------------------------------------
@@ -683,9 +679,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out_dir(path: str) -> str:
-    """``--out`` names a directory; an existing file is refused before any job runs."""
-    if Path(path).is_file():
-        raise argparse.ArgumentTypeError(f"{path!r} is a file, not a directory")
+    """``--out`` names a directory, made if missing; a file, or a path under
+    a file, is refused before any job runs."""
+    nearest = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+    if not nearest.is_dir():
+        raise argparse.ArgumentTypeError(f"{str(nearest)!r} is not a directory")
     return path
 
 

@@ -15,6 +15,8 @@ import re
 import subprocess
 import sys
 import weakref
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -23,9 +25,9 @@ import fleetgen
 import qprobe.device
 import qprobe.devicesim
 import qprobe.estimator
-from qprobe import (AttackConfig, DeviceProfile, QuantumCloud, Topology, TopologyError,
+from qprobe import (AttackConfig, DeviceProfile, QuantumCloud, Topology, TopologyError, detect,
                     dump_profile, estimate_fingerprint, load_fleet, manhattan_avg, match_device,
-                    survival_from_counts)
+                    run_rounds, survival_from_counts)
 from qprobe.circuit import compose_probe
 from qprobe.cli import (CommandError, ProbeSpec, main, parse_probe_args, parse_strategy,
                         run_identify)
@@ -389,6 +391,79 @@ def test_probe_that_does_not_fit_the_attacked_device_exits_one(tmp_path, command
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("command, message", [
+    (["detect-fab", "--device", "alpine", "--fab", "scale:0.5", *CORNER_PROBE,
+      "--threshold", "nan"], "threshold must be a finite"),
+    (["detect-sub", "--victim", "alpine", "--actual", "dune", *CORNER_PROBE,
+      "--threshold", "nan"], "threshold must be a finite"),
+    # the first probe fits tiny and the second does not
+    (["detect-fab", "--device", "tiny", "--fab", "scale:0.5", "--probe", "bv:1",
+      "--mapping", "0,1", *CORNER_PROBE], "probe 'bv:11@0,1,3' does not fit device 'tiny'"),
+])
+def test_a_detect_command_checks_every_probe_before_any_job_runs(tmp_path, monkeypatch,
+                                                                 command, message, capsys):
+    fleet = fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(), tiny_profile()])
+    calls, _ = count_sampler_calls_and_jobs(monkeypatch)
+    submit, submitted = QuantumCloud.submit, []
+
+    def counted(self, *args):
+        submitted.append(args)
+        return submit(self, *args)
+
+    monkeypatch.setattr(QuantumCloud, "submit", counted)
+    assert main([*command, "--fleet", str(fleet), "--shots", "100000", "--rounds", "100"]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert submitted == [] and calls == []
+
+
+def test_an_out_path_under_a_file_is_refused_before_any_job_runs(tmp_path, monkeypatch,
+                                                               capsys):
+    calls, jobs = count_sampler_calls_and_jobs(monkeypatch)
+    a_file = tmp_path / "report"
+    a_file.write_text("")
+    for out in (a_file, a_file / "sub", a_file / "sub" / "deeper"):
+        for command in (["identify"], ["sweep"], ["detect-sub", "--victim", "alpine",
+                                                  "--actual", "dune"]):
+            assert main([*command, "--fleet", str(DEMO_FLEET), *CORNER_PROBE,
+                         "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: argument --out: {str(a_file)!r} is not a directory\n"
+    assert calls == jobs == []
+    assert a_file.read_text() == ""
+
+
+def test_sweep_summary_is_a_left_to_right_fold_over_its_rows(tmp_path, capsys):
+    # bv:1@3,4 and bv:11 do not fit tiny, and the two bv:1 probes share a size
+    fleet = fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(), tiny_profile()])
+    out = tmp_path / "report"
+    assert main(["sweep", "--fleet", str(fleet), "--probe", "bv:1", "--mapping", "0,1",
+                 *CORNER_PROBE, "--probe", "bv:1", "--mapping", "3,4", "--shots", "300",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads((out / "sweep.json").read_text())
+    trials = doc["trials"]
+    assert [sum(t["probe"] == label for t in trials)
+            for label in doc["params"]["probes"]] == [25, 16, 16]
+
+    def stats(size=None):
+        """Each pair kind's stats over the rows of one size, or of every size."""
+        out = {}
+        for pair in ("honest", "cross"):
+            values = [t["distance"] for t in trials
+                      if t["pair"] == pair and size in (None, t["size"])]
+            out[pair] = {"n": len(values), "mean": reduce(add, values, 0.0) / len(values),
+                         "min": min(values), "max": max(values)}
+        return out
+
+    summary = doc["summary"]
+    assert summary["by_size"] == {"2": stats(2), "3": stats(3)}
+    assert {pair: summary[pair] for pair in ("honest", "cross")} == stats()
+    assert summary["by_size"]["2"]["honest"]["n"] == 9
+    gap = [summary["honest"]["max"], summary["cross"]["min"]]
+    assert summary["gap"] == gap and summary["gap_valid"] == (gap[0] < gap[1])
+
+
 def test_identify_leaves_a_device_the_probe_does_not_fit_unscored(corner_fleet, tmp_path,
                                                                  capsys):
     fleet = fleetgen.write_fleet(tmp_path, [*fleetgen.corner_profiles(), tiny_profile()])
@@ -429,13 +504,19 @@ def test_sweep_on_one_device_has_no_cross_pairs(grit_fleet, tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ["identify"],
     ["sweep", "--probe", "bv:111", "--mapping", "0,1,2,3"],
+    ["detect-fab", "--device", "alpine", "--fab", "scale:0.5",
+     "--probe", "bv:111", "--mapping", "0,1,2,3"],
 ])
 def test_identify_and_sweep_score_without_the_per_fingerprint_functions(
         corner_fleet, monkeypatch, command, capsys):
-    # a command scores all its jobs as arrays, whose rows the per-fingerprint
-    # functions only reproduce one at a time
+    # identify and sweep score all their jobs as arrays, whose rows the
+    # per-fingerprint functions only reproduce one at a time; the detect
+    # commands run one lone job per probe and score it through them
+    per_job = ["detect", "estimate_fingerprint", "manhattan_avg", "run_rounds",
+               "survival_from_counts"]
     calls = []
-    for original in (estimate_fingerprint, survival_from_counts, manhattan_avg, match_device):
+    for original in (estimate_fingerprint, survival_from_counts, detect, manhattan_avg,
+                     match_device, run_rounds):
         def counted(*args, _original=original):
             calls.append(_original.__name__)
             return _original(*args)
@@ -445,11 +526,13 @@ def test_identify_and_sweep_score_without_the_per_fingerprint_functions(
                     and getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, counted)
     assert main([*command, "--fleet", str(corner_fleet), *CORNER_PROBE]) == 0
-    assert calls == []
-    # the patches are live: a detect-sub verdict goes through three of them once each
+    # detect-fab's two probes make two lone jobs, each estimated, sampled and scored once
+    assert sorted(calls) == (sorted(per_job * 2) if command[0] == "detect-fab" else [])
+    calls.clear()
+    # the patches are live: a detect-sub verdict goes through each per-job one once
     assert main(["detect-sub", "--fleet", str(corner_fleet), *CORNER_PROBE,
                  "--victim", "alpine", "--actual", "alpine"]) == 0
-    assert sorted(calls) == ["estimate_fingerprint", "manhattan_avg", "survival_from_counts"]
+    assert sorted(calls) == per_job
     capsys.readouterr()
 
 
